@@ -1,8 +1,9 @@
 """Particle-liquid up-resing toolkit.
 
 Set UPFLOW_THREADS to cap the BLAS/OpenMP thread pools used by the numeric
-kernels; it must be set before numpy is first imported, which this package
-guarantees when it is the entry point.
+kernels. The package copies it into OMP_NUM_THREADS and friends on import,
+which takes effect only if numpy has not been imported yet: import upflow
+first (the `upflow` command does), or set those variables directly.
 """
 
 import os as _os

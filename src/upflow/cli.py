@@ -103,6 +103,7 @@ def _cmd_solve_flow(args):
     status = "converged" if info.converged else "NOT converged"
     print(f"flow solve {status} after {info.iterations} iterations "
           f"(residual {info.residual:.2e}); wrote {', '.join(written)}")
+    return 0 if info.converged else 1
 
 
 def _cmd_train(args):
@@ -127,13 +128,15 @@ def _cmd_train(args):
 
 
 def _cmd_infer(args):
-    model = DisplacementNet.load(args.ckpt)
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".upf"))
-    vels = sorted(n for n in os.listdir(args.input) if n.endswith(".ugr"))
     if not names:
         raise SystemExit(f"no .upf frames found in {args.input}")
-    if len(vels) < len(names):
-        raise SystemExit("each frame needs a matching velocity grid (.ugr)")
+    # each <stem>.upf moves through vel_<stem>.ugr, as write_manifest lays out
+    vels = [f"vel_{n[:-4]}.ugr" for n in names]
+    for fn, vn in zip(names, vels):
+        if not os.path.isfile(os.path.join(args.input, vn)):
+            raise SystemExit(f"{fn} has no velocity grid {vn} in {args.input}")
+    model = DisplacementNet.load(args.ckpt)
     os.makedirs(args.out, exist_ok=True)
     cfg = InferenceConfig(passes=args.passes)
     for i, (fn, vn) in enumerate(zip(names, vels)):
@@ -149,6 +152,9 @@ def _cmd_eval(args):
     pred, _ = _load_frame_dir(args.pred)
     ref, _ = _load_frame_dir(args.ref)
     t = min(len(pred), len(ref))
+    if len(pred) != len(ref):
+        print(f"{args.pred} holds {len(pred)} frames and {args.ref} {len(ref)}; "
+              f"comparing the first {t}")
     errs, accs = [], []
     for p, r in zip(pred[:t], ref[:t]):
         errs.append(epe(p.positions, p.velocities, r.positions, r.velocities))
@@ -218,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.fn(args)
-    return 0
+    return args.fn(args) or 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SolverDiverged
+from .errors import CGNotConverged, SolverDiverged
 from .flip import SceneSpec, SimFrame, SimParams, simulate
 from .grids import GridDesc, sample_trilinear
 from .net import TrainingSample
@@ -105,11 +105,17 @@ def _track_stack(frames: list[SimFrame], desc: GridDesc, radius: float,
 
 
 def _solve_stack(src: SpaceTimeSDF, dst: SpaceTimeSDF, params: FlowParams,
-                 align: bool = True):
+                 what: str, align: bool = True):
+    """Per-frame flow fields from `src` to `dst`; `what` names the solve in
+    the CGNotConverged raised when it runs out of iterations."""
     penalty = alignment_penalty(src, dst, params) if align else None
     a_mat, b, _ = build_system(dst, src, penalty, params)
     u, info = solve_flow(a_mat, b, params)
-    return solution_fields(u, src), info
+    if not info.converged:
+        raise CGNotConverged(
+            f"{what}: flow CG stalled at relative residual {info.residual:.3e} "
+            f"after {info.iterations} iterations")
+    return solution_fields(u, src)
 
 
 def _sdf_radius(params: SimParams) -> float:
@@ -123,6 +129,8 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
     Every original pair is matched with one random partner (seeded); the
     low and high tracks are morphed separately toward the partner's tracks
     at each blend weight. Output size = input * (1 + len(alphas)).
+    Raises CGNotConverged, naming the pair and track, when a flow solve
+    runs out of iterations.
     """
     if len(manifest.pairs) < 2:
         raise ValueError("augmentation needs at least two pairs")
@@ -148,7 +156,8 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
             radius = _sdf_radius(params)
             src_st = _track_stack(src_frames, desc, radius, params.dt)
             dst_st = _track_stack(dst_frames, desc, radius, params.dt)
-            fields, _ = _solve_stack(src_st, dst_st, flow_params)
+            fields = _solve_stack(src_st, dst_st, flow_params,
+                                  f"pair {i} -> pair {j}, {track} track")
             morphed_tracks[track] = (src_frames, fields)
         for alpha in alphas:
             new_tracks = {}
@@ -178,17 +187,20 @@ def make_training_samples(manifest: DatasetManifest,
     the low track's grid); the flow field is solved once per pair over the
     whole stack, sampled at the low particles as the ground-truth
     displacement, and its per-particle normalized magnitude becomes the
-    adaptive loss weight (zero field -> all-zero weights).
+    adaptive loss weight (zero field -> all-zero weights). Raises
+    CGNotConverged, naming the pair, when a flow solve runs out of
+    iterations.
     """
     if flow_params is None:
         flow_params = FlowParams()
     desc = flow_desc if flow_desc is not None else manifest.sim_low.domain
     radius = 0.75 * desc.cell_size
     samples = []
-    for pair in manifest.pairs:
+    for i, pair in enumerate(manifest.pairs):
         low_st = _track_stack(pair.low_frames, desc, radius, manifest.sim_low.dt)
         high_st = _track_stack(pair.high_frames, desc, radius, manifest.sim_low.dt)
-        fields, _ = _solve_stack(low_st, high_st, flow_params, align=align)
+        fields = _solve_stack(low_st, high_st, flow_params,
+                              f"pair {i}, low -> high track", align=align)
         for fi, (f, fld) in enumerate(zip(pair.low_frames, fields)):
             if f.particles.count == 0:
                 continue

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverDiverged
-from .grids import GridDesc, MACGrid, ScalarGrid, extrapolate_mac, sample_trilinear
+from .grids import GridDesc, MACGrid, ScalarGrid, extrapolate_mac, pcg, sample_trilinear
 from .kernels import kernel_k
 from .particles import HashGrid, ParticleSet, advect_particles, hash_uniform
 
@@ -339,8 +339,9 @@ class FlipSolver:
                               shape=(n_fluid, n_fluid)) / (h * h)
 
         # post-projection divergence equals dt * residual, so target tol/dt
-        p, ok = _pcg(a_mat, div, tol_inf=self.params.pressure_tol / dt,
-                     max_iter=self.params.pressure_max_iter)
+        p, ok, _, _ = pcg(a_mat, div, self.params.pressure_tol / dt,
+                          self.params.pressure_max_iter,
+                          lambda r: float(np.max(np.abs(r))))
         if not ok:
             raise SolverDiverged(
                 f"pressure CG exceeded {self.params.pressure_max_iter} iterations")
@@ -449,30 +450,6 @@ class FlipSolver:
     def divergence(self, g: MACGrid) -> np.ndarray:
         """Divergence restricted to the fluid cells of the latest projection."""
         return np.where(self.last_fluid, self._divergence(g), 0.0)
-
-
-def _pcg(a_mat: sp.csr_matrix, b: np.ndarray, tol_inf: float, max_iter: int):
-    """Jacobi-preconditioned CG; converges on the residual max-norm."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    if np.max(np.abs(r)) <= tol_inf:
-        return x, True
-    inv_diag = 1.0 / a_mat.diagonal()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        ad = a_mat @ d
-        alpha = rz / float(d @ ad)
-        x += alpha * d
-        r -= alpha * ad
-        if np.max(np.abs(r)) <= tol_inf:
-            return x, True
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    return x, False
 
 
 def simulate(scene: SceneSpec, params: SimParams, frames: int, seed: int = 0) -> list[SimFrame]:

@@ -273,3 +273,38 @@ def advect_positions(positions: np.ndarray, vel: MACGrid, dt: float) -> np.ndarr
     mid = positions + 0.5 * dt * v1
     vm = sample_trilinear(vel, mid)
     return positions + dt * vm
+
+
+def pcg(a_mat, b: np.ndarray, tol: float, max_iter: int, norm):
+    """Jacobi-preconditioned conjugate gradients on the SPD system a_mat x = b.
+
+    Stops as soon as norm(r) <= tol for the residual r = b - a_mat x,
+    checking the zero start first. Returns (x, converged, iterations,
+    residual); when `max_iter` iterations do not converge, x is the iterate
+    of smallest norm(r) seen and `residual` that norm.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    res = norm(r)
+    if res <= tol:
+        return x, True, 0, res
+    inv_diag = 1.0 / a_mat.diagonal()
+    z = inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    best_x, best_res = x.copy(), res
+    for it in range(1, max_iter + 1):
+        ad = a_mat @ d
+        alpha = rz / float(d @ ad)
+        x += alpha * d
+        r -= alpha * ad
+        res = norm(r)
+        if res <= tol:
+            return x, True, it, res
+        if res < best_res:
+            best_res, best_x = res, x.copy()
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return best_x, False, max_iter, best_res

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GridMismatch
 from .flip import resample_narrow_band
 from .grids import DeformationField, GridDesc, MACGrid, ScalarGrid, extrapolate_mac, sample_trilinear
-from .kernels import kernel_k
+from .kernels import kernel_scatter
 from .net import DisplacementNet
 from .particles import ParticleSet, advect_particles, advect_positions
 from .sdf import sdf_from_particles
@@ -59,30 +59,8 @@ def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc,
     h = desc.cell_size
     if radius is None:
         radius = 1.5 * h
-    nx, ny, nz = desc.dims
-    origin = np.asarray(desc.origin)
-    wsum = np.zeros(desc.dims)
-    acc = np.zeros(desc.dims + (3,))
-    if x.count:
-        reach = int(np.ceil(radius / h)) + 1
-        pidx = np.floor((x.positions - origin) / h - 0.5).astype(np.int64)
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                for dz in range(-reach, reach + 1):
-                    cell = pidx + np.array([dx, dy, dz])
-                    ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
-                    if not ok.any():
-                        continue
-                    cc = cell[ok]
-                    centers = origin + (cc + 0.5) * h
-                    d = np.linalg.norm(centers - x.positions[ok], axis=1)
-                    w = kernel_k(d / radius)
-                    m = w > 0.0
-                    if not m.any():
-                        continue
-                    flat = (cc[m, 0] * ny + cc[m, 1]) * nz + cc[m, 2]
-                    np.add.at(wsum.reshape(-1), flat, w[m])
-                    np.add.at(acc.reshape(-1, 3), flat, w[m][:, None] * omega[ok][m])
+    reach = int(np.ceil(radius / h)) + 1
+    wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, radius, reach)
     covered = wsum > 0.0
     vectors = np.where(covered[..., None], acc / np.maximum(wsum, 1e-300)[..., None], 0.0)
     return DeformationField(desc, vectors), covered

@@ -35,6 +35,21 @@ UPF_MAGIC = b"UPF1"
 UGR_MAGIC = b"UGR1"
 
 
+def _read_exact(f, n: int, path: str) -> bytes:
+    """Read exactly `n` bytes of `f`, or raise ValueError naming `path`.
+
+    Checks the bytes left before reading, so a corrupt count asking for
+    more than the file holds never allocates its buffer.
+    """
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if n > left:
+        raise ValueError(f"{path} is truncated: needs {n} more bytes at offset "
+                         f"{here}, has {left}")
+    return f.read(n)
+
+
 # -- particles ------------------------------------------------------------------
 
 def save_particles(path: str, p: ParticleSet):
@@ -48,14 +63,16 @@ def save_particles(path: str, p: ParticleSet):
 
 def load_particles(path: str) -> ParticleSet:
     with open(path, "rb") as f:
-        if f.read(4) != UPF_MAGIC:
+        def read(n):
+            return _read_exact(f, n, path)
+        if read(4) != UPF_MAGIC:
             raise ValueError(f"{path} is not a particle frame")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != 1:
             raise ValueError(f"unsupported particle frame version {version}")
-        (count,) = struct.unpack("<Q", f.read(8))
-        pos = np.frombuffer(f.read(12 * count), dtype="<f4").reshape(count, 3)
-        vel = np.frombuffer(f.read(12 * count), dtype="<f4").reshape(count, 3)
+        (count,) = struct.unpack("<Q", read(8))
+        pos = np.frombuffer(read(12 * count), dtype="<f4").reshape(count, 3)
+        vel = np.frombuffer(read(12 * count), dtype="<f4").reshape(count, 3)
     return ParticleSet(pos.astype(np.float64), vel.astype(np.float64))
 
 
@@ -91,29 +108,31 @@ def save_grid(path: str, grid):
 
 def load_grid(path: str):
     with open(path, "rb") as f:
-        if f.read(4) != UGR_MAGIC:
+        def read(n):
+            return _read_exact(f, n, path)
+        if read(4) != UGR_MAGIC:
             raise ValueError(f"{path} is not a grid file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != 1:
             raise ValueError(f"unsupported grid version {version}")
-        (kind,) = struct.unpack("<B", f.read(1))
-        origin = struct.unpack("<3d", f.read(24))
-        (cell,) = struct.unpack("<d", f.read(8))
-        dims = struct.unpack("<3I", f.read(12))
+        (kind,) = struct.unpack("<B", read(1))
+        origin = struct.unpack("<3d", read(24))
+        (cell,) = struct.unpack("<d", read(8))
+        dims = struct.unpack("<3I", read(12))
         desc = GridDesc(origin, cell, dims)
         nx, ny, nz = dims
         if kind == _GRID_KINDS["scalar"]:
-            vals = np.frombuffer(f.read(4 * nx * ny * nz), dtype="<f4")
+            vals = np.frombuffer(read(4 * nx * ny * nz), dtype="<f4")
             return ScalarGrid(desc, vals.astype(np.float64).reshape(dims))
         if kind == _GRID_KINDS["vector"]:
-            vals = np.frombuffer(f.read(4 * nx * ny * nz * 3), dtype="<f4")
+            vals = np.frombuffer(read(4 * nx * ny * nz * 3), dtype="<f4")
             return DeformationField(desc, vals.astype(np.float64).reshape(dims + (3,)))
         if kind == _GRID_KINDS["mac"]:
             shapes = [(nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)]
             comps = []
             for s in shapes:
                 n = s[0] * s[1] * s[2]
-                comps.append(np.frombuffer(f.read(4 * n), dtype="<f4")
+                comps.append(np.frombuffer(read(4 * n), dtype="<f4")
                              .astype(np.float64).reshape(s))
             return MACGrid(desc, *comps)
         raise ValueError(f"unknown grid kind {kind}")

@@ -1,4 +1,5 @@
-"""Smooth blending kernel and normalized neighborhood weights.
+"""Smooth blending kernel, normalized neighborhood weights, and the kernel
+scatter of particle values to cell centers.
 
 The kernel k(s) = max(0, (1 - s^2)^3) is evaluated on distances expressed in
 units of the support radius R, so a particle at distance R contributes zero.
@@ -36,3 +37,37 @@ def neighborhood_weights(center: np.ndarray, neighbors: np.ndarray, radius: floa
     if total <= 0.0:
         raise EmptyNeighborhood(f"no particle within radius {radius} of {center}")
     return w / total
+
+
+def kernel_scatter(positions: np.ndarray, values: np.ndarray, origin, h: float,
+                   dims: tuple[int, int, int], support: float, reach: int):
+    """Kernel-weighted scatter of per-particle values to cell centers.
+
+    Every particle adds kernel_k(|c - x| / support) to the weight of each
+    cell center c within `reach` cells of its own cell, and that weight
+    times its value row to the cell's accumulator. Returns (wsum, acc) of
+    shapes `dims` and `dims + (values.shape[1],)`.
+    """
+    nx, ny, nz = dims
+    origin = np.asarray(origin)
+    wsum = np.zeros(dims)
+    acc = np.zeros(dims + (values.shape[1],))
+    pidx = np.floor((positions - origin) / h - 0.5).astype(np.int64)
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            for dz in range(-reach, reach + 1):
+                cell = pidx + np.array([dx, dy, dz])
+                ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
+                if not ok.any():
+                    continue
+                cell = cell[ok]
+                centers = origin + (cell + 0.5) * h
+                d = np.linalg.norm(centers - positions[ok], axis=1)
+                w = kernel_k(d / support)
+                m = w > 0.0
+                if not m.any():
+                    continue
+                flat = (cell[m, 0] * ny + cell[m, 1]) * nz + cell[m, 2]
+                np.add.at(wsum.reshape(-1), flat, w[m])
+                np.add.at(acc.reshape(-1, acc.shape[-1]), flat, w[m][:, None] * values[ok][m])
+    return wsum, acc

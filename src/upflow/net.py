@@ -26,7 +26,6 @@ from .kernels import kernel_k
 from .particles import HashGrid, ParticleSet
 
 _BN_EPS = 1e-5
-_BN_MOMENTUM = 0.1
 
 
 # -- configuration -------------------------------------------------------------
@@ -212,7 +211,7 @@ def nearest_indices(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 # -- parameterized pieces -------------------------------------------------------
 
-def _init_mlp(rng, params, stats, prefix: str, in_dim: int, widths):
+def _init_mlp(rng, params, prefix: str, in_dim: int, widths):
     d = in_dim
     for ell, w in enumerate(widths):
         scale = np.sqrt(2.0 / d)
@@ -220,15 +219,12 @@ def _init_mlp(rng, params, stats, prefix: str, in_dim: int, widths):
         params[f"{prefix}.l{ell}.b"] = parameter(np.zeros(w))
         params[f"{prefix}.l{ell}.gamma"] = parameter(np.ones(w))
         params[f"{prefix}.l{ell}.beta"] = parameter(np.zeros(w))
-        stats[f"{prefix}.l{ell}.mean"] = np.zeros(w)
-        stats[f"{prefix}.l{ell}.var"] = np.ones(w)
         d = w
     return d
 
 
-def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: dict, key: str,
-               train: bool, valid: np.ndarray | None, stat_order: np.ndarray | None,
-               update: bool = True):
+def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, valid: np.ndarray | None,
+               stat_order: np.ndarray | None):
     """BatchNorm over rows: statistics come from the rows of the current
     input set, using only valid rows (3D input) or the canonically re-ordered
     rows (2D input) so they never depend on input permutation.
@@ -237,9 +233,7 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: dict, key: str,
     too: one cloud is one batch here, and exponential running averages taken
     across training clouds turned out to diverge from the per-cloud
     normalization the network actually learns (single-cloud batches, unlike
-    the many-clouds-per-batch regime). Running statistics are still tracked
-    in training mode for diagnostics; the cycle-consistency pass opts out of
-    updating them."""
+    the many-clouds-per-batch regime)."""
     if valid is not None:
         mask = valid[:, :, None].astype(np.float64)
         count = float(valid.sum())
@@ -257,18 +251,13 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: dict, key: str,
         mean = xs.mean(axis=0)
         cen = xs - mean
         var = (cen * cen).mean(axis=0)
-    if train and update:
-        stats[f"{key}.mean"] = ((1 - _BN_MOMENTUM) * stats[f"{key}.mean"]
-                                + _BN_MOMENTUM * mean.value)
-        stats[f"{key}.var"] = ((1 - _BN_MOMENTUM) * stats[f"{key}.var"]
-                               + _BN_MOMENTUM * var.value)
     norm = (x - mean) / (var + _BN_EPS).sqrt()
     return norm * gamma + beta
 
 
-def _mlp(x: Tensor, params: dict, stats: dict, prefix: str, n_layers: int,
-         train: bool, valid: np.ndarray | None = None,
-         stat_order: np.ndarray | None = None, update: bool = True) -> Tensor:
+def _mlp(x: Tensor, params: dict, prefix: str, n_layers: int,
+         valid: np.ndarray | None = None,
+         stat_order: np.ndarray | None = None) -> Tensor:
     """Shared nonlinear map h: (Linear -> BatchNorm -> ReLU) per width."""
     for ell in range(n_layers):
         w = params[f"{prefix}.l{ell}.W"]
@@ -279,16 +268,14 @@ def _mlp(x: Tensor, params: dict, stats: dict, prefix: str, n_layers: int,
         else:
             h = x @ w + b
         h = _batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
-                       params[f"{prefix}.l{ell}.beta"], stats,
-                       f"{prefix}.l{ell}", train, valid, stat_order, update)
+                       params[f"{prefix}.l{ell}.beta"], valid, stat_order)
         x = h.relu()
     return x
 
 
 def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
-                    params: dict, stats: dict, prefix: str, train: bool,
-                    query_centers: np.ndarray | None = None,
-                    update: bool = True) -> FeatureSet:
+                    params: dict, prefix: str,
+                    query_centers: np.ndarray | None = None) -> FeatureSet:
     """One set-convolution downsampling level.
 
     Neighborhood centers come from canonical farthest-point sampling unless
@@ -314,16 +301,14 @@ def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
     gfeat = feats.gather(idx) * scale[:, None, None]
     offsets = npos - query_centers[:, None, :]
     inp = concat([gfeat, as_tensor(offsets)], axis=-1)
-    h = _mlp(inp, params, stats, prefix, len(level.widths), train, valid=valid,
-             update=update)
+    h = _mlp(inp, params, prefix, len(level.widths), valid=valid)
     pooled = masked_max(h, valid)
     return FeatureSet(points=xbar, features=pooled, centers=query_centers)
 
 
 def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
-                   max_neighbors: int, params: dict, stats: dict, prefix: str,
-                   train: bool, smoothing_convs: int,
-                   smoothing_radius: float, update: bool = True) -> FeatureSet:
+                   max_neighbors: int, params: dict, prefix: str,
+                   smoothing_convs: int, smoothing_radius: float) -> FeatureSet:
     """Correspondence features between the two resolutions.
 
     Both inputs must have been grouped against the same query centers. Each
@@ -343,8 +328,7 @@ def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
     g3 = high.features.gather(idx)
     offsets = low.points[:, None, :] - high.points[idx]
     inp = concat([f3, g3, as_tensor(offsets)], axis=-1)
-    h = _mlp(inp, params, stats, prefix, len_widths(params, prefix), train,
-             valid=valid, update=update)
+    h = _mlp(inp, params, prefix, len_widths(params, prefix), valid=valid)
     emb = masked_max(h, valid)
     out = FeatureSet(points=low.points, features=emb, centers=low.centers)
     for s in range(smoothing_convs):
@@ -354,8 +338,7 @@ def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
         sfeat = out.features.gather(sidx)
         soff = out.points[:, None, :] - out.points[sidx]
         sinp = concat([sfeat, as_tensor(soff)], axis=-1)
-        sh = _mlp(sinp, params, stats, sp, len_widths(params, sp), train,
-                  valid=svalid, update=update)
+        sh = _mlp(sinp, params, sp, len_widths(params, sp), valid=svalid)
         out = FeatureSet(points=out.points, features=masked_max(sh, svalid),
                          centers=out.centers)
     return out
@@ -369,9 +352,8 @@ def len_widths(params: dict, prefix: str) -> int:
 
 
 def upsample_conv(coarse: FeatureSet, fine_points: np.ndarray, skip: FeatureSet,
-                  radius: float, params: dict, stats: dict, prefix: str,
-                  train: bool, max_neighbors: int = 32,
-                  update: bool = True) -> FeatureSet:
+                  radius: float, params: dict, prefix: str,
+                  max_neighbors: int = 32) -> FeatureSet:
     """Propagate coarse features to fine points.
 
     Coarse features within `radius` of each fine point are blended with
@@ -394,46 +376,41 @@ def upsample_conv(coarse: FeatureSet, fine_points: np.ndarray, skip: FeatureSet,
     interp = weighted_sum(coarse.features.gather(idx), wn)
     inp = concat([interp, skip.features], axis=-1)
     order = lexical_order(fine_points)
-    out = _mlp(inp, params, stats, prefix, len_widths(params, prefix), train,
-               stat_order=order, update=update)
+    out = _mlp(inp, params, prefix, len_widths(params, prefix), stat_order=order)
     return FeatureSet(points=fine_points, features=out)
 
 
 # -- the assembled model --------------------------------------------------------
 
 class DisplacementNet:
-    """Config + parameters + batch-norm state, with forward/predict/checkpoint."""
+    """Config + parameters, with forward/predict/checkpoint."""
 
-    def __init__(self, config: NetworkConfig, params: dict, stats: dict):
+    def __init__(self, config: NetworkConfig, params: dict):
         self.config = config
         self.params = params
-        self.stats = stats
-        self.train_mode = False
 
     @classmethod
     def create(cls, config: NetworkConfig) -> "DisplacementNet":
         rng = np.random.default_rng(config.seed)
         params: dict = {}
-        stats: dict = {}
         feat_dim = 3  # per-particle input feature: velocity
         dims = []
         d = feat_dim
         for i, lv in enumerate(config.levels):
-            d = _init_mlp(rng, params, stats, f"down{i}", d + 3, lv.widths)
+            d = _init_mlp(rng, params, f"down{i}", d + 3, lv.widths)
             dims.append(d)
         emb_in = 2 * d + 3
-        d = _init_mlp(rng, params, stats, "embed", emb_in, config.embedding_widths)
+        d = _init_mlp(rng, params, "embed", emb_in, config.embedding_widths)
         for s in range(config.smoothing_convs):
-            d = _init_mlp(rng, params, stats, f"embed.smooth{s}", d + 3,
+            d = _init_mlp(rng, params, f"embed.smooth{s}", d + 3,
                           (config.embedding_widths[-1],))
         skip_dims = [feat_dim] + dims[:-1]
         for j in range(len(config.levels)):
             skip = skip_dims[len(config.levels) - 1 - j]
-            d = _init_mlp(rng, params, stats, f"up{j}", d + skip,
-                          config.upconv_widths[j])
+            d = _init_mlp(rng, params, f"up{j}", d + skip, config.upconv_widths[j])
         params["reg.W"] = parameter(rng.normal(0.0, np.sqrt(1.0 / d), size=(d, 3)))
         params["reg.b"] = parameter(np.zeros(3))
-        return cls(config, params, stats)
+        return cls(config, params)
 
     @classmethod
     def zeros(cls, config: NetworkConfig) -> "DisplacementNet":
@@ -450,19 +427,11 @@ class DisplacementNet:
         for t in self.params.values():
             t.grad = None
 
-    def forward(self, x_l: ParticleSet, x_h: ParticleSet,
-                update_stats: bool = True) -> Tensor:
-        """Per-low-particle displacement (count_l, 3) as a tape tensor.
-
-        `update_stats=False` keeps batch-norm running statistics untouched
-        (used by the cycle-consistency pass, whose displaced inputs are not
-        representative of inference).
-        """
+    def forward(self, x_l: ParticleSet, x_h: ParticleSet) -> Tensor:
+        """Per-low-particle displacement (count_l, 3) as a tape tensor."""
         if x_l.count == 0 or x_h.count == 0:
             raise ValueError("forward requires non-empty particle sets")
         cfg = self.config
-        train = self.train_mode
-        upd = update_stats
         fl = FeatureSet(points=x_l.positions, features=as_tensor(x_l.velocities))
         fh = FeatureSet(points=x_h.positions, features=as_tensor(x_h.velocities))
         skips = [fl]
@@ -470,35 +439,26 @@ class DisplacementNet:
         for i, lv in enumerate(cfg.levels):
             qc = cur_l.points[farthest_point_indices(cur_l.points, lv.count)]
             new_l = downsample_conv(cur_l.points, cur_l.features, lv, self.params,
-                                    self.stats, f"down{i}", train,
-                                    query_centers=qc, update=upd)
+                                    f"down{i}", query_centers=qc)
             new_h = downsample_conv(cur_h.points, cur_h.features, lv, self.params,
-                                    self.stats, f"down{i}", train,
-                                    query_centers=qc, update=upd)
+                                    f"down{i}", query_centers=qc)
             skips.append(new_l)
             cur_l, cur_h = new_l, new_h
         emb = flow_embedding(cur_l, cur_h, cfg.embedding_radius,
-                             cfg.levels[-1].max_neighbors, self.params, self.stats,
-                             "embed", train, cfg.smoothing_convs,
-                             smoothing_radius=cfg.embedding_radius, update=upd)
+                             cfg.levels[-1].max_neighbors, self.params, "embed",
+                             cfg.smoothing_convs, smoothing_radius=cfg.embedding_radius)
         feat = emb
         for j in range(len(cfg.levels)):
             target = skips[len(cfg.levels) - 1 - j]
             radius = cfg.levels[len(cfg.levels) - 1 - j].radius
             feat = upsample_conv(feat, target.points, target, radius, self.params,
-                                 self.stats, f"up{j}", train,
-                                 max_neighbors=cfg.levels[len(cfg.levels) - 1 - j].max_neighbors,
-                                 update=upd)
+                                 f"up{j}",
+                                 max_neighbors=cfg.levels[len(cfg.levels) - 1 - j].max_neighbors)
         return feat.features @ self.params["reg.W"] + self.params["reg.b"]
 
     def predict(self, x_l: ParticleSet, x_h: ParticleSet) -> np.ndarray:
-        """Eval-mode displacements as a plain array."""
-        prev = self.train_mode
-        self.train_mode = False
-        try:
-            return self.forward(x_l, x_h).value
-        finally:
-            self.train_mode = prev
+        """Displacements as a plain array."""
+        return self.forward(x_l, x_h).value
 
     # -- checkpointing ---------------------------------------------------
 
@@ -515,56 +475,58 @@ class DisplacementNet:
         cfg = self.config.to_json().encode("utf-8")
         buf.write(struct.pack("<I", len(cfg)))
         buf.write(cfg)
-
-        def write_block(entries):
-            buf.write(struct.pack("<I", len(entries)))
-            for name in sorted(entries):
-                arr = entries[name]
-                arr = arr.value if isinstance(arr, Tensor) else arr
-                data = np.ascontiguousarray(arr, dtype="<f4")
-                nm = name.encode("utf-8")
-                buf.write(struct.pack("<H", len(nm)))
-                buf.write(nm)
-                buf.write(struct.pack("<B", data.ndim))
-                buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                buf.write(data.tobytes())
-        write_block(self.params)
-        write_block(self.stats)
+        buf.write(struct.pack("<I", len(self.params)))
+        for name in sorted(self.params):
+            data = np.ascontiguousarray(self.params[name].value, dtype="<f4")
+            nm = name.encode("utf-8")
+            buf.write(struct.pack("<H", len(nm)))
+            buf.write(nm)
+            buf.write(struct.pack("<B", data.ndim))
+            buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            buf.write(data.tobytes())
+        # the layout ends in a block of batch-norm running statistics,
+        # which older files fill and nothing reads; it is written empty
+        buf.write(struct.pack("<I", 0))
         return buf.getvalue()
 
     @classmethod
     def load(cls, path: str) -> "DisplacementNet":
         with open(path, "rb") as f:
             raw = f.read()
-        return cls._deserialize(raw)
+        return cls._deserialize(raw, path)
 
     @classmethod
-    def _deserialize(cls, raw: bytes) -> "DisplacementNet":
+    def _deserialize(cls, raw: bytes, path: str) -> "DisplacementNet":
+        from .io import _read_exact  # io imports this module at load time
+
         buf = io.BytesIO(raw)
-        if buf.read(4) != cls.MAGIC:
-            raise ValueError("not a displacement-net checkpoint")
-        (version,) = struct.unpack("<I", buf.read(4))
+
+        def read(n):
+            return _read_exact(buf, n, path)
+
+        if read(4) != cls.MAGIC:
+            raise ValueError(f"{path} is not a displacement-net checkpoint")
+        (version,) = struct.unpack("<I", read(4))
         if version != 1:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", buf.read(4))
-        config = NetworkConfig.from_json(buf.read(clen).decode("utf-8"))
+        (clen,) = struct.unpack("<I", read(4))
+        config = NetworkConfig.from_json(read(clen).decode("utf-8"))
 
         def read_block():
-            (n,) = struct.unpack("<I", buf.read(4))
+            (n,) = struct.unpack("<I", read(4))
             out = {}
             for _ in range(n):
-                (nlen,) = struct.unpack("<H", buf.read(2))
-                name = buf.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<B", buf.read(1))
-                shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
+                (nlen,) = struct.unpack("<H", read(2))
+                name = read(nlen).decode("utf-8")
+                (ndim,) = struct.unpack("<B", read(1))
+                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
                 count = int(np.prod(shape)) if ndim else 1
-                arr = np.frombuffer(buf.read(4 * count), dtype="<f4").reshape(shape)
+                arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
                 out[name] = arr.astype(np.float64)
             return out
-        params_raw = read_block()
-        stats = read_block()
-        params = {k: parameter(v) for k, v in params_raw.items()}
-        return cls(config, params, stats)
+        params = {k: parameter(v) for k, v in read_block().items()}
+        read_block()  # batch-norm statistics of older checkpoints, unused
+        return cls(config, params)
 
 
 def neighborhood_assignment(positions: np.ndarray, config: NetworkConfig):
@@ -603,7 +565,7 @@ def sample_loss(model: DisplacementNet, sample: TrainingSample):
     omega = model.forward(sample.x_l, sample.x_h)
     displaced = ParticleSet(sample.x_l.positions + sample.gt_displacement,
                             sample.x_l.velocities)
-    omega_back = model.forward(displaced, sample.x_l, update_stats=False)
+    omega_back = model.forward(displaced, sample.x_l)
     assign, centers = neighborhood_assignment(sample.x_l.positions, model.config)
     lam = np.zeros(len(centers))
     np.add.at(lam, assign, sample.lambda_weights)
@@ -646,12 +608,7 @@ class AdamState:
 
 
 def evaluate_loss(model: DisplacementNet, samples: list[TrainingSample]) -> float:
-    prev = model.train_mode
-    model.train_mode = False
-    try:
-        vals = [float(sample_loss(model, s)[0].value) for s in samples]
-    finally:
-        model.train_mode = prev
+    vals = [float(sample_loss(model, s)[0].value) for s in samples]
     return float(np.mean(vals)) if vals else float("nan")
 
 
@@ -676,7 +633,6 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
             opt.lr = lr * (lr_decay + (1 - lr_decay)
                            * 0.5 * (1 + np.cos(np.pi * frac)))
         order = rng.permutation(len(dataset))
-        model.train_mode = True
         losses = []
         for si in order:
             loss_val, grads = loss_gradients(model, dataset[si])
@@ -685,7 +641,6 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
                     f"non-finite loss {loss_val} at epoch {epoch}, sample {si}")
             opt.step(model, grads)
             losses.append(loss_val)
-        model.train_mode = False
         history["train"].append(float(np.mean(losses)))
         if val:
             history["val"].append(evaluate_loss(model, val))

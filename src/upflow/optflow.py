@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import CGNotConverged, GridMismatch, NoSurface
-from .grids import DeformationField, ScalarGrid, sample_trilinear
+from .grids import DeformationField, ScalarGrid, pcg, sample_trilinear
 from .particles import ParticleSet
 
 
@@ -353,28 +353,10 @@ def solve_flow(a_mat: sp.csr_matrix, b: np.ndarray, params: FlowParams):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), FlowSolveInfo(True, 0, 0.0)
-    x = np.zeros_like(b)
-    r = b.copy()
-    inv_diag = 1.0 / a_mat.diagonal()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
-    best_x, best_res = x.copy(), float(np.linalg.norm(r)) / b_norm
-    for it in range(1, params.cg_max_iter + 1):
-        ad = a_mat @ d
-        alpha = rz / float(d @ ad)
-        x += alpha * d
-        r -= alpha * ad
-        res = float(np.linalg.norm(r)) / b_norm
-        if res < best_res:
-            best_res, best_x = res, x.copy()
-        if res <= params.cg_tol:
-            return x, FlowSolveInfo(True, it, res)
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    return best_x, FlowSolveInfo(False, params.cg_max_iter, best_res)
+    u, converged, iterations, residual = pcg(
+        a_mat, b, params.cg_tol, params.cg_max_iter,
+        lambda r: float(np.linalg.norm(r)) / b_norm)
+    return u, FlowSolveInfo(converged, iterations, residual)
 
 
 def solution_fields(u_flat: np.ndarray, st_like: SpaceTimeSDF) -> list[DeformationField]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridDesc, ScalarGrid
-from .kernels import kernel_k
+from .kernels import kernel_scatter
 from .particles import ParticleSet
 
 _FAR = 1e30
@@ -26,34 +26,10 @@ def _blended_sphere_field(p: ParticleSet, desc: GridDesc, radius: float,
 
     Returns (phi, covered) where covered marks cells with nonzero kernel mass.
     """
-    nx, ny, nz = desc.dims
     h = desc.cell_size
-    origin = np.asarray(desc.origin)
     reach = min(int(np.ceil(support / h)) + 1, band_cells + 1)
-
-    wsum = np.zeros(desc.dims)
-    xsum = np.zeros(desc.dims + (3,))
-    pidx = np.floor((p.positions - origin) / h - 0.5).astype(np.int64)
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            for dz in range(-reach, reach + 1):
-                cell = pidx + np.array([dx, dy, dz])
-                ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
-                if not ok.any():
-                    continue
-                cell = cell[ok]
-                pos = p.positions[ok]
-                centers = origin + (cell + 0.5) * h
-                d = np.linalg.norm(centers - pos, axis=1)
-                w = kernel_k(d / support)
-                nz_mask = w > 0.0
-                if not nz_mask.any():
-                    continue
-                cell, pos, w = cell[nz_mask], pos[nz_mask], w[nz_mask]
-                flat = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
-                np.add.at(wsum.reshape(-1), flat, w)
-                np.add.at(xsum.reshape(-1, 3), flat, w[:, None] * pos)
-
+    wsum, xsum = kernel_scatter(p.positions, p.positions, desc.origin, h, desc.dims,
+                                support, reach)
     covered = wsum > 0.0
     phi = np.full(desc.dims, _FAR)
     if covered.any():

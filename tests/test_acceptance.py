@@ -214,32 +214,29 @@ def test_criterion_05_gradient_checks():
     # batch norm over masked 3D rows (training statistics)
     w = 0.0
     for _ in range(20):
-        params, stats = {}, {}
-        _init_mlp(rng, params, stats, "bn", 4, (3,))
+        params = {}
+        _init_mlp(rng, params, "bn", 4, (3,))
         x = parameter(rng.normal(size=(4, 5, 3)))
         valid = rng.uniform(size=(4, 5)) > 0.3
         valid[0, 0] = True
         gamma, beta = params["bn.l0.gamma"], params["bn.l0.beta"]
         for leaf in (gamma, x):
             w = max(w, _fd_match(
-                lambda: _batchnorm(x, gamma, beta, stats, "bn.l0", False, valid,
-                                   None, update=False).abs().sum(), leaf, rng))
+                lambda: _batchnorm(x, gamma, beta, valid, None).abs().sum(), leaf, rng))
     worst["batchnorm-masked"] = w
 
     # batch norm with canonical row order (2D), scale/shift parameters
     w = 0.0
     for _ in range(20):
-        params, stats = {}, {}
-        _init_mlp(rng, params, stats, "bn", 4, (3,))
+        params = {}
+        _init_mlp(rng, params, "bn", 4, (3,))
         x = parameter(rng.normal(size=(9, 3)))
         order = rng.permutation(9)
         gamma, beta = params["bn.l0.gamma"], params["bn.l0.beta"]
         w = max(w, _fd_match(
-            lambda: _batchnorm(x, gamma, beta, stats, "bn.l0", False, None,
-                               order, update=False).abs().sum(), gamma, rng))
+            lambda: _batchnorm(x, gamma, beta, None, order).abs().sum(), gamma, rng))
         w = max(w, _fd_match(
-            lambda: _batchnorm(x, gamma, beta, stats, "bn.l0", False, None,
-                               order, update=False).abs().sum(), beta, rng))
+            lambda: _batchnorm(x, gamma, beta, None, order).abs().sum(), beta, rng))
     worst["batchnorm-ordered"] = w
 
     # masked max pooling
@@ -254,15 +251,14 @@ def test_criterion_05_gradient_checks():
     # downsampling set convolution (whole layer, through its MLP weights)
     w = 0.0
     for _ in range(20):
-        params, stats = {}, {}
-        _init_mlp(rng, params, stats, "dc", 3 + 3, (5,))
+        params = {}
+        _init_mlp(rng, params, "dc", 3 + 3, (5,))
         pts = rng.uniform(size=(10, 3))
         feats = parameter(rng.normal(size=(10, 3)))
         lv = LevelConfig(4, 0.6, (5,))
 
         def run():
-            out = downsample_conv(pts, feats, lv, params, stats, "dc",
-                                  train=False, update=False)
+            out = downsample_conv(pts, feats, lv, params, "dc")
             return out.features.abs().sum()
         w = max(w, _fd_match(run, params["dc.l0.W"], rng))
         w = max(w, _fd_match(run, feats, rng))
@@ -271,8 +267,8 @@ def test_criterion_05_gradient_checks():
     # flow embedding
     w = 0.0
     for _ in range(20):
-        params, stats = {}, {}
-        _init_mlp(rng, params, stats, "emb", 2 * 4 + 3, (5,))
+        params = {}
+        _init_mlp(rng, params, "emb", 2 * 4 + 3, (5,))
         pts = rng.uniform(size=(5, 3))
         centers = rng.uniform(size=(5, 3))
         fl = parameter(rng.normal(size=(5, 4)))
@@ -282,9 +278,8 @@ def test_criterion_05_gradient_checks():
         def run():
             low = FeatureSet(pts, fl, centers=centers)
             high = FeatureSet(pts + 0.02, fh, centers=centers)
-            out = flow_embedding(low, high, 0.8, 4, params, stats, "emb",
-                                 train=False, smoothing_convs=0,
-                                 smoothing_radius=0.8, update=False)
+            out = flow_embedding(low, high, 0.8, 4, params, "emb",
+                                 smoothing_convs=0, smoothing_radius=0.8)
             return out.features.abs().sum()
         w = max(w, _fd_match(run, params["emb.l0.W"], rng))
         w = max(w, _fd_match(run, fl, rng))
@@ -293,8 +288,8 @@ def test_criterion_05_gradient_checks():
     # upsampling convolution
     w = 0.0
     for _ in range(20):
-        params, stats = {}, {}
-        _init_mlp(rng, params, stats, "up", 4 + 2, (5,))
+        params = {}
+        _init_mlp(rng, params, "up", 4 + 2, (5,))
         coarse_pts = rng.uniform(size=(4, 3))
         fine_pts = rng.uniform(size=(7, 3))
         cf = parameter(rng.normal(size=(4, 4)))
@@ -303,8 +298,7 @@ def test_criterion_05_gradient_checks():
 
         def run():
             out = upsample_conv(FeatureSet(coarse_pts, cf), fine_pts,
-                                FeatureSet(fine_pts, sk), 0.7, params, stats,
-                                "up", train=False, update=False)
+                                FeatureSet(fine_pts, sk), 0.7, params, "up")
             return out.features.abs().sum()
         w = max(w, _fd_match(run, params["up.l0.W"], rng))
         w = max(w, _fd_match(run, cf, rng))
@@ -317,7 +311,6 @@ def test_criterion_05_gradient_checks():
         embedding_widths=(12,), embedding_radius=0.9, smoothing_convs=1,
         upconv_widths=((10,), (8,), (6,)), seed=11)
     model = DisplacementNet.create(cfg)
-    model.train_mode = True
     pts = np.array([0.5, 0.5, 0.5]) + 0.12 * rng.uniform(-1, 1, size=(32, 3))
     t = np.array([0.02, 0.0, 0.01])
     sample = TrainingSample(ParticleSet(pts, np.tile(t, (32, 1))),

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import upflow
+from upflow import FlowParams, LevelConfig, NetworkConfig
 from upflow.cli import main
+from upflow.net import DisplacementNet
 from upflow import io as uio
 
 GEN_CFG = """
@@ -127,6 +129,42 @@ def test_solve_flow_no_align_flag(pair_frames, tmp_path):
     assert main(["solve-flow", "--low", str(low_frames), "--high",
                  str(high_frames), "--out", str(out), "--no-align",
                  "--dims", "12,12,12"]) == 0
+
+
+def test_solve_flow_unconverged_exits_nonzero(pair_frames, tmp_path, monkeypatch):
+    low_frames, high_frames = pair_frames
+    monkeypatch.setattr("upflow.cli.FlowParams", lambda: FlowParams(cg_max_iter=1))
+    assert main(["solve-flow", "--low", str(low_frames), "--high",
+                 str(high_frames), "--out", str(tmp_path / "field.ugr"),
+                 "--dims", "12,12,12"]) == 1
+
+
+def test_infer_pairs_grids_by_name(workspace, tmp_path):
+    # one grid missing and an unrelated grid in its place: pairing by sorted
+    # position would move frame 1 with the high track's velocity
+    _, ds, _ = workspace
+    pair = ds / "pair_000"
+    infer_in = _copy_frames(pair, tmp_path / "in", "low_*.upf", "vel_low_*.ugr")
+    (infer_in / "vel_low_001.ugr").unlink()
+    shutil.copyfile(pair / "vel_high_000.ugr", infer_in / "vel_high_000.ugr")
+    ckpt = tmp_path / "model.ffn"
+    DisplacementNet.create(NetworkConfig(
+        levels=(LevelConfig(2, 0.1, (2,)),), embedding_widths=(2,),
+        smoothing_convs=0, upconv_widths=((2,),))).save(str(ckpt))
+    with pytest.raises(SystemExit) as err:
+        main(["infer", "--input", str(infer_in), "--ckpt", str(ckpt),
+              "--out", str(tmp_path / "out")])
+    assert "vel_low_001.ugr" in str(err.value)
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_reports_frame_count_mismatch(pair_frames, tmp_path, capsys):
+    low_frames, high_frames = pair_frames
+    ref = _copy_frames(high_frames, tmp_path / "ref", "high_000.upf")
+    assert main(["eval", "--pred", str(low_frames), "--ref", str(ref)]) == 0
+    out = capsys.readouterr().out
+    assert "holds 2 frames" in out and "comparing the first 1" in out
+    assert "frame 001" not in out
 
 
 def test_train_and_infer_and_eval(workspace):

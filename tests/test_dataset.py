@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from upflow import (DatasetManifest, FlowParams, ParamMatrix, ParticleSet,
-                    SceneSpec, SimParams, augment, gen_dataset,
+from upflow import (CGNotConverged, DatasetManifest, FlowParams, ParamMatrix,
+                    ParticleSet, SceneSpec, SimParams, augment, gen_dataset,
                     make_training_samples)
 from upflow.dataset import PairRecord
 from upflow.flip import SimFrame
@@ -161,3 +161,30 @@ def test_training_samples_translated_pair_recovers_shift():
     assert s.lambda_weights.max() <= 1.0
     assert s.lambda_weights.min() >= 0.0
     assert s.lambda_weights.max() == 1.0
+
+
+def _blob_manifest(centers):
+    """One single-frame pair per center: a ball of liquid, the high track
+    moved by one low cell along x."""
+    low, high = tiny_sims()
+    m = DatasetManifest(name="Synthetic", sim_low=low, sim_high=high)
+    rng = np.random.default_rng(4)
+    t = np.array([low.domain.cell_size, 0.0, 0.0])
+    for c in centers:
+        pts = np.asarray(c) + 0.06 * rng.uniform(-1, 1, size=(60, 3))
+        lo = SimFrame(ParticleSet(pts, np.zeros_like(pts)), MACGrid.zeros(low.domain))
+        hi = SimFrame(ParticleSet(pts + t, np.zeros_like(pts)), MACGrid.zeros(high.domain))
+        m.pairs.append(PairRecord(scene_defaults(), [lo], [hi], seed=0))
+    return m
+
+
+def test_training_samples_unconverged_flow_raises():
+    m = _blob_manifest([(0.2, 0.25, 0.25), (0.3, 0.25, 0.25)])
+    with pytest.raises(CGNotConverged, match="pair 0, low -> high"):
+        make_training_samples(m, FlowParams(cg_max_iter=1))
+
+
+def test_augment_unconverged_flow_raises():
+    m = _blob_manifest([(0.2, 0.25, 0.25), (0.3, 0.25, 0.25)])
+    with pytest.raises(CGNotConverged, match="pair 0 -> pair 1, low track"):
+        augment(m, [0.5], flow_params=FlowParams(cg_max_iter=1))

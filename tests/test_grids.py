@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from upflow import (DeformationField, GridDesc, GridMismatch, MACGrid,
                     ParticleSet, ScalarGrid, advect_particles, extrapolate_mac,
                     sample_trilinear)
+from upflow.grids import pcg
 
 
 @pytest.fixture
@@ -239,3 +242,26 @@ def test_grid_mismatch_on_extrapolate():
     b = GridDesc((0, 0, 0), 0.2, (4, 4, 4))
     with pytest.raises(GridMismatch):
         extrapolate_mac(MACGrid.zeros(a), ScalarGrid.full(b, -1.0), 2)
+
+
+# -- preconditioned CG -------------------------------------------------------------
+
+def test_pcg_cap_returns_best_iterate():
+    # CG's residual 2-norm is not monotone: on this SPD system (condition
+    # number 1e4) the last of 8 iterates is not the best one, and the best
+    # one must come back
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    a = q @ np.diag(np.logspace(0.0, 4.0, 30)) @ q.T
+    a_mat, b = sp.csr_matrix(0.5 * (a + a.T)), rng.normal(size=30)
+    seen = []
+
+    def norm(r):
+        seen.append(float(np.linalg.norm(r)))
+        return seen[-1]
+    x, converged, iterations, residual = pcg(a_mat, b, 1e-30, 8, norm)
+    assert not converged
+    assert iterations == 8
+    assert len(seen) == 9                   # the zero start plus 8 iterates
+    assert residual == min(seen) < seen[-1]
+    assert np.isclose(np.linalg.norm(b - a_mat @ x), residual, rtol=1e-9)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +65,52 @@ def test_grid_roundtrip(tmp_path, kind):
     path2 = tmp_path / f"{kind}2.ugr"
     uio.save_grid(str(path2), loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _assert_every_cut_raises(path, load):
+    """Each proper prefix of the file at `path` fails to load with a
+    ValueError that names the file."""
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError) as err:
+            load(str(path))
+        assert str(path) in str(err.value), n
+
+
+def test_truncated_particle_frame_raises(tmp_path):
+    path = tmp_path / "cut.upf"
+    uio.save_particles(str(path), rand_particles(3))
+    _assert_every_cut_raises(path, uio.load_particles)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "mac"])
+def test_truncated_grid_raises(tmp_path, kind):
+    desc = GridDesc((0.0, 0.0, 0.0), 0.5, (2, 2, 2))
+    grid = {"scalar": ScalarGrid(desc, np.ones(desc.dims)),
+            "vector": DeformationField(desc, np.ones(desc.dims + (3,))),
+            "mac": MACGrid.constant(desc, (1.0, 2.0, 3.0))}[kind]
+    path = tmp_path / f"cut_{kind}.ugr"
+    uio.save_grid(str(path), grid)
+    _assert_every_cut_raises(path, uio.load_grid)
+
+
+def test_oversized_counts_raise(tmp_path):
+    # a header count larger than the payload, up to one no file could hold
+    path = tmp_path / "big.upf"
+    uio.save_particles(str(path), rand_particles(3))
+    raw = path.read_bytes()
+    for count in (4, 2 ** 62):
+        path.write_bytes(raw[:8] + struct.pack("<Q", count) + raw[16:])
+        with pytest.raises(ValueError, match="truncated"):
+            uio.load_particles(str(path))
+    path = tmp_path / "big.ugr"
+    uio.save_grid(str(path), ScalarGrid(GridDesc((0, 0, 0), 0.5, (2, 2, 2)), np.ones((2, 2, 2))))
+    raw = path.read_bytes()
+    dims_at = 4 + 4 + 1 + 24 + 8
+    path.write_bytes(raw[:dims_at] + struct.pack("<3I", 2, 2, 3) + raw[dims_at + 12:])
+    with pytest.raises(ValueError, match="truncated"):
+        uio.load_grid(str(path))
 
 
 def _small_manifest():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from upflow import EmptyNeighborhood, kernel_k, neighborhood_weights
+from upflow import EmptyNeighborhood, GridDesc, kernel_k, neighborhood_weights
+from upflow.kernels import kernel_scatter
 
 
 def test_kernel_anchor_values():
@@ -67,3 +68,19 @@ def test_weights_always_sum_to_one(pts):
     w = neighborhood_weights([0.0, 0.0, 0.0], pts, 2.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
+
+
+def test_scatter_matches_dense_sum():
+    # every cell center within the support gets sum_p k(|c - x_p| / R) and the
+    # matching weighted sum of values; particles straddle the grid boundary
+    desc = GridDesc((0.0, 0.0, 0.0), 0.1, (6, 5, 4))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.05, 0.55, size=(25, 3))
+    vals = rng.normal(size=(25, 2))
+    support = 0.17
+    wsum, acc = kernel_scatter(x, vals, desc.origin, desc.cell_size, desc.dims,
+                               support, reach=3)
+    w = kernel_k(np.linalg.norm(desc.cell_centers()[..., None, :] - x, axis=-1) / support)
+    assert np.allclose(wsum, w.sum(axis=-1), rtol=1e-12, atol=0.0)
+    assert np.allclose(acc, w @ vals, rtol=1e-12, atol=1e-15)
+

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -82,42 +84,41 @@ def test_ball_gather_membership_and_order():
 
 # -- spec'd layer behaviors ----------------------------------------------------------
 
-def _layer_state(cfg):
-    model = DisplacementNet.create(cfg)
-    return model.params, model.stats
+def _layer_params(cfg):
+    return DisplacementNet.create(cfg).params
 
 
 def test_downsample_single_particle_center_is_particle():
     cfg = tiny_config()
-    params, stats = _layer_state(cfg)
+    params = _layer_params(cfg)
     pts = np.array([[0.4, 0.5, 0.6]])
     feats = as_tensor(np.array([[0.1, 0.2, 0.3]]))
     lv = LevelConfig(1, 0.3, (6,))
-    out = downsample_conv(pts, feats, lv, params, stats, "down0", train=False)
+    out = downsample_conv(pts, feats, lv, params, "down0")
     assert np.allclose(out.points[0], pts[0])
 
 
 def test_downsample_coincident_pair_max_idempotent():
     cfg = tiny_config()
-    params, stats = _layer_state(cfg)
+    params = _layer_params(cfg)
     lv = LevelConfig(1, 0.3, (6,))
     one = downsample_conv(np.array([[0.5, 0.5, 0.5]]),
                           as_tensor(np.array([[0.3, -0.2, 0.1]])),
-                          lv, params, stats, "down0", train=False)
+                          lv, params, "down0")
     two = downsample_conv(np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]),
                           as_tensor(np.array([[0.3, -0.2, 0.1]] * 2)),
-                          lv, params, stats, "down0", train=False)
+                          lv, params, "down0")
     assert np.allclose(one.points, two.points)
     assert np.allclose(one.features.value, two.features.value)
 
 
 def test_downsample_empty_neighborhood_zero_feature():
     cfg = tiny_config()
-    params, stats = _layer_state(cfg)
+    params = _layer_params(cfg)
     lv = LevelConfig(1, 0.05, (6,))
     pts = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
     feats = as_tensor(np.ones((2, 3)))
-    out = downsample_conv(pts, feats, lv, params, stats, "down0", train=False,
+    out = downsample_conv(pts, feats, lv, params, "down0",
                           query_centers=np.array([[0.5, 0.5, 0.5]]))
     assert np.array_equal(out.features.value, np.zeros((1, 6)))
 
@@ -130,8 +131,7 @@ def test_embedding_requires_shared_centers():
     b = FeatureSet(np.zeros((2, 3)), as_tensor(np.zeros((2, 4))),
                    centers=np.ones((2, 3)))
     with pytest.raises(CenterMismatch):
-        flow_embedding(a, b, 0.5, 8, model.params, model.stats, "embed",
-                       False, 0, 0.5)
+        flow_embedding(a, b, 0.5, 8, model.params, "embed", 0, 0.5)
 
 
 def test_embedding_constant_shift_offsets():
@@ -156,16 +156,15 @@ def test_embedding_constant_shift_offsets():
 def test_upsample_single_coarse_point_broadcasts():
     from upflow.net import _init_mlp
 
-    params, stats = {}, {}
+    params = {}
     rng = np.random.default_rng(0)
-    _init_mlp(rng, params, stats, "up_test", 6 + 3, (6,))
+    _init_mlp(rng, params, "up_test", 6 + 3, (6,))
     coarse = FeatureSet(np.array([[0.5, 0.5, 0.5]]),
                         as_tensor(np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])))
     fine_pts = np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9], [0.5, 0.5, 0.52]])
     skip = FeatureSet(fine_pts, as_tensor(np.zeros((3, 3))))
     # far fine points have empty balls; the layer falls back to the nearest
-    out = upsample_conv(coarse, fine_pts, skip, 0.3, params, stats, "up_test",
-                        train=False)
+    out = upsample_conv(coarse, fine_pts, skip, 0.3, params, "up_test")
     assert out.features.value.shape == (3, 6)
     # every fine point receives the single coarse feature (weight 1) pre-MLP;
     # identical interpolated+skip rows give identical outputs
@@ -175,7 +174,7 @@ def test_upsample_single_coarse_point_broadcasts():
 
 def test_upsample_equidistant_average():
     cfg = tiny_config()
-    params, stats = _layer_state(cfg)
+    params = _layer_params(cfg)
     coarse_pts = np.array([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]])
     a = np.array([1.0, 0.0, 2.0, 0.0, 1.0, 0.0])
     b = np.array([3.0, 4.0, 0.0, 2.0, 1.0, 2.0])
@@ -295,7 +294,6 @@ def _sample(n=16, seed=13, t=(0.02, 0.0, 0.0)):
 def test_full_loss_gradient_matches_fd():
     cfg = tiny_config()
     model = DisplacementNet.create(cfg)
-    model.train_mode = True
     sample = _sample(16)
 
     val0, grads = loss_gradients(model, sample)
@@ -308,13 +306,10 @@ def test_full_loss_gradient_matches_fd():
         for _ in range(min(3, flat.size)):
             i = int(rng.integers(flat.size))
             keep = flat[i]
-            stats0 = {k: v.copy() for k, v in model.stats.items()}
             flat[i] = keep + eps
             up, _ = sample_loss(model, sample)
-            model.stats.update(stats0)
             flat[i] = keep - eps
             dn, _ = sample_loss(model, sample)
-            model.stats.update({k: v.copy() for k, v in stats0.items()})
             flat[i] = keep
             numeric = (float(up.value) - float(dn.value)) / (2 * eps)
             analytic = grads[name].reshape(-1)[i]
@@ -330,10 +325,8 @@ def test_full_loss_gradient_matches_fd():
 def test_loss_gradients_deterministic():
     cfg = tiny_config()
     model = DisplacementNet.create(cfg)
-    model.train_mode = True
     sample = _sample(12)
     v1, g1 = loss_gradients(model, sample)
-    model.stats = DisplacementNet.create(cfg).stats
     v2, g2 = loss_gradients(model, sample)
     assert v1 == v2
     for k in g1:
@@ -396,6 +389,62 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes()[:4] == b"FFN1"
     loaded2 = DisplacementNet.load(str(path2))
     assert np.array_equal(loaded.predict(xl, xh), loaded2.predict(xl, xh))
+
+
+def _ffn1_bytes(config, blocks):
+    """An FFN1 checkpoint written field by field: magic, version 1, the
+    config JSON, then each {name: array} block as float32 entries."""
+    out = [b"FFN1", struct.pack("<I", 1)]
+    cfg = config.to_json().encode("utf-8")
+    out += [struct.pack("<I", len(cfg)), cfg]
+    for block in blocks:
+        out.append(struct.pack("<I", len(block)))
+        for name in sorted(block):
+            arr = np.ascontiguousarray(block[name], dtype="<f4")
+            out += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                    struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape),
+                    arr.tobytes()]
+    return b"".join(out)
+
+
+def test_checkpoint_loads_running_statistics_layout(tmp_path):
+    # checkpoints that still carry batch-norm running statistics load, the
+    # statistics are skipped, and the model predicts as the saved one did
+    cfg = tiny_config(seed=6)
+    model = DisplacementNet.create(cfg)
+    params = {k: t.value for k, t in model.params.items()}
+    stats = {}
+    for k, v in params.items():
+        if k.endswith(".gamma"):
+            stats[k[:-len("gamma")] + "mean"] = np.full(v.shape, 0.25)
+            stats[k[:-len("gamma")] + "var"] = np.full(v.shape, 4.0)
+    old = tmp_path / "old.ffn"
+    old.write_bytes(_ffn1_bytes(cfg, [params, stats]))
+    loaded = DisplacementNet.load(str(old))
+    assert loaded.config == cfg
+    for k, v in params.items():
+        assert np.array_equal(loaded.params[k].value, v.astype(np.float32))
+    xl, xh = cloud(16, seed=24), cloud(20, seed=25)
+    saved = DisplacementNet(cfg, {k: as_tensor(v.astype(np.float32).astype(np.float64))
+                                  for k, v in params.items()})
+    assert np.array_equal(loaded.predict(xl, xh), saved.predict(xl, xh))
+    # saving writes the same layout with an empty statistics block
+    new = tmp_path / "new.ffn"
+    loaded.save(str(new))
+    assert new.read_bytes() == _ffn1_bytes(cfg, [params, {}])
+
+
+def test_truncated_checkpoint_raises(tmp_path):
+    cfg = NetworkConfig(levels=(LevelConfig(2, 0.5, (2,)),), embedding_widths=(2,),
+                        smoothing_convs=0, upconv_widths=((2,),))
+    path = tmp_path / "cut.ffn"
+    DisplacementNet.create(cfg).save(str(path))
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError) as err:
+            DisplacementNet.load(str(path))
+        assert str(path) in str(err.value), n
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
