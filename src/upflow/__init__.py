@@ -20,7 +20,7 @@ from .errors import (CenterMismatch, CGNotConverged, EmptyNeighborhood,  # noqa:
 from .grids import (DeformationField, GridDesc, MACGrid, ScalarGrid,  # noqa: E402
                     extrapolate_mac, sample_trilinear)
 from .kernels import kernel_k, neighborhood_weights  # noqa: E402
-from .particles import HashGrid, ParticleSet, advect_particles  # noqa: E402
+from .particles import ParticleSet, advect_particles  # noqa: E402
 from .sdf import sdf_from_particles  # noqa: E402
 from .flip import (SceneSpec, SimFrame, SimParams, FlipSolver,  # noqa: E402
                    resample_narrow_band, simulate)
@@ -42,8 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentPenalty", "CGNotConverged", "CenterMismatch", "DatasetManifest",
     "DeformationField", "DisplacementNet", "EmptyNeighborhood", "FeatureSet",
-    "FlipSolver", "FlowParams", "GridDesc", "GridMismatch", "HashGrid",
-    "InferenceConfig", "LengthMismatch", "LevelConfig", "MACGrid",
+    "FlipSolver", "FlowParams", "GridDesc", "GridMismatch", "InferenceConfig",
+    "LengthMismatch", "LevelConfig", "MACGrid",
     "NetworkConfig", "NoSurface", "NonFiniteLoss", "PairRecord", "ParamMatrix",
     "ParticleSet", "ScalarGrid", "SceneSpec", "SimFrame", "SimParams",
     "SolverDiverged", "SpaceTimeSDF", "TrainingSample", "UpflowError",

@@ -41,6 +41,17 @@ def _load_frame_dir(path: str):
     return [uio.load_particles(os.path.join(path, n)) for n in names], names
 
 
+def _paired_frame_dirs(path_a: str, path_b: str, verb: str):
+    """The frames of two directories, cut to the shorter; a line names the
+    frames left out."""
+    (a, names_a), (b, names_b) = _load_frame_dir(path_a), _load_frame_dir(path_b)
+    t = min(len(a), len(b))
+    if len(a) != len(b):
+        print(f"{path_a} holds {len(a)} frames and {path_b} {len(b)}; {verb} the "
+              f"first {t}, leaving out {', '.join(names_a[t:] + names_b[t:])}")
+    return a[:t], b[:t]
+
+
 def _cmd_gen_dataset(args):
     name, frames, seed, theta, defaults, sim_low, sim_high = \
         uio.parse_dataset_config(args.config)
@@ -67,10 +78,7 @@ def _frames_bounds(frames):
 
 
 def _cmd_solve_flow(args):
-    low, _ = _load_frame_dir(args.low)
-    high, _ = _load_frame_dir(args.high)
-    t = min(len(low), len(high))
-    low, high = low[:t], high[:t]
+    low, high = _paired_frame_dirs(args.low, args.high, "solving")
     if args.dims:
         dims = tuple(int(x) for x in args.dims.split(","))
     else:
@@ -149,14 +157,9 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    pred, _ = _load_frame_dir(args.pred)
-    ref, _ = _load_frame_dir(args.ref)
-    t = min(len(pred), len(ref))
-    if len(pred) != len(ref):
-        print(f"{args.pred} holds {len(pred)} frames and {args.ref} {len(ref)}; "
-              f"comparing the first {t}")
+    pred, ref = _paired_frame_dirs(args.pred, args.ref, "comparing")
     errs, accs = [], []
-    for p, r in zip(pred[:t], ref[:t]):
+    for p, r in zip(pred, ref):
         errs.append(epe(p.positions, p.velocities, r.positions, r.velocities))
         accs.append(flow_accuracy(p.positions, p.velocities, r.positions,
                                   r.velocities, threshold=args.threshold))

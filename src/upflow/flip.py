@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .errors import SolverDiverged
 from .grids import GridDesc, MACGrid, ScalarGrid, extrapolate_mac, pcg, sample_trilinear
 from .kernels import kernel_k
-from .particles import HashGrid, ParticleSet, advect_particles, hash_uniform
+from .particles import ParticleSet, advect_particles, hash_uniform, radius_pairs
 
 SHAPES = ("sphere", "cube", "cylinder", "torus", "wedge", "frame")
 
@@ -481,10 +481,9 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     pos = p.positions[keep]
     vel = p.velocities[keep]
 
+    ci = desc.cell_index(pos)
     counts = np.zeros(desc.dims, dtype=np.int64)
-    if len(pos):
-        ci = desc.cell_index(pos)
-        np.add.at(counts, (ci[:, 0], ci[:, 1], ci[:, 2]), 1)
+    np.add.at(counts, (ci[:, 0], ci[:, 1], ci[:, 2]), 1)
 
     band = (phi.values <= 0.0) & (phi.values >= -depth)
     need_cells = np.argwhere(band & (counts < target_per_cell))
@@ -508,37 +507,29 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
             new_pos.append(cand[ok][cnt:target_per_cell])
 
     # thin overfull cells, keeping the lexicographically smallest positions
-    if len(pos):
-        ci = desc.cell_index(pos)
-        flat = (ci[:, 0] * desc.dims[1] + ci[:, 1]) * desc.dims[2] + ci[:, 2]
-        order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], flat))
-        flat_sorted = flat[order]
-        starts = np.flatnonzero(np.concatenate(([True], flat_sorted[1:] != flat_sorted[:-1])))
-        sizes = np.diff(np.concatenate((starts, [len(flat_sorted)])))
-        rank_sorted = np.arange(len(flat_sorted)) - np.repeat(starts, sizes)
-        rank = np.empty(len(pos), dtype=np.int64)
-        rank[order] = rank_sorted
-        keep2 = rank < target_per_cell
-        pos, vel = pos[keep2], vel[keep2]
+    flat = (ci[:, 0] * desc.dims[1] + ci[:, 1]) * desc.dims[2] + ci[:, 2]
+    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], flat))
+    flat_sorted = flat[order]
+    rank = np.empty(len(pos), dtype=np.int64)
+    rank[order] = np.arange(len(pos)) - np.searchsorted(flat_sorted, flat_sorted)
+    keep2 = rank < target_per_cell
+    pos, vel = pos[keep2], vel[keep2]
 
-    if new_pos:
-        added = np.concatenate([a for a in new_pos if len(a)]) if any(len(a) for a in new_pos) else np.zeros((0, 3))
-    else:
-        added = np.zeros((0, 3))
+    added = np.concatenate([np.zeros((0, 3))] + new_pos)
     if len(added):
-        if len(pos):
-            hg = HashGrid(pos, 2.0 * h)
-            avel = np.zeros_like(added)
-            for i, x in enumerate(added):
-                idx = hg.query_radius(x, 2.0 * h)
-                if len(idx):
-                    d = np.linalg.norm(pos[idx] - x, axis=1)
-                    w = kernel_k(d / (2.0 * h))
-                    tot = w.sum()
-                    if tot > 0:
-                        avel[i] = (w[:, None] * vel[idx]).sum(axis=0) / tot
-        else:
-            avel = np.zeros_like(added)
+        avel = np.zeros_like(added)
+        r = 2.0 * h
+        rows, cols, d2 = radius_pairs(pos, added, r)
+        # each particle sums its neighbours ordered by (cell of side r, index)
+        key = np.floor(pos[cols] / r).astype(np.int64)
+        order = np.lexsort((cols, key[:, 2], key[:, 1], key[:, 0], rows))
+        rows, cols = rows[order], cols[order]
+        w = kernel_k(np.sqrt(d2[order]) / r)
+        bounds = np.searchsorted(rows, np.arange(len(added) + 1))
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            tot = w[a:b].sum()
+            if tot > 0:
+                avel[i] = (w[a:b, None] * vel[cols[a:b]]).sum(axis=0) / tot
         pos = np.concatenate([pos, added])
         vel = np.concatenate([vel, avel])
     return ParticleSet(pos, vel)

@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .particles import HashGrid
-
-
-def _match_cell(positions: np.ndarray) -> float:
-    span = float(np.max(np.ptp(positions, axis=0))) if len(positions) > 1 else 1.0
-    n = max(len(positions), 1)
-    return max(span / max(n ** (1.0 / 3.0), 1.0), 1e-9)
+from .particles import nearest_points
 
 
 def match_nearest(pred_positions: np.ndarray, ref_positions: np.ndarray) -> np.ndarray:
-    """For each reference particle, the index of the nearest predicted one."""
+    """For each reference particle, the index of the nearest predicted one
+    (the lowest such index on ties)."""
     pred_positions = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 3)
     ref_positions = np.asarray(ref_positions, dtype=np.float64).reshape(-1, 3)
     if len(pred_positions) == 0:
         raise ValueError("cannot match against an empty predicted set")
-    hg = HashGrid(pred_positions, _match_cell(pred_positions))
-    return np.array([hg.query_nearest(q) for q in ref_positions], dtype=np.int64)
+    return nearest_points(pred_positions, ref_positions)
 
 
 def epe(pred_positions, pred_displacements, ref_positions, ref_displacements,

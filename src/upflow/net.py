@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import Tensor, as_tensor, concat, masked_max, parameter, weighted_sum
 from .errors import CenterMismatch, LengthMismatch, NonFiniteLoss
 from .kernels import kernel_k
-from .particles import HashGrid, ParticleSet
+from .particles import ParticleSet, nearest_points, radius_pairs
 
 _BN_EPS = 1e-5
 
@@ -175,38 +175,30 @@ def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
                 max_neighbors: int):
     """Neighbor table (idx, valid) of shape (n_query, max_neighbors).
 
-    Membership is ||p - q|| <= radius; when more than `max_neighbors`
-    qualify the closest ones win (ties toward lexicographically smaller
-    points). Rows are stored in canonical lexicographic point order so all
-    downstream reductions are permutation-stable.
+    Membership is sum((p - q)**2) <= radius**2; when more than
+    `max_neighbors` qualify the closest ones win (ties toward
+    lexicographically smaller points, then lower indices). Rows are stored
+    in canonical lexicographic point order (then index) so all downstream
+    reductions are permutation-stable.
     """
-    nq = len(queries)
-    idx = np.zeros((nq, max_neighbors), dtype=np.int64)
-    valid = np.zeros((nq, max_neighbors), dtype=bool)
-    if len(points) == 0:
-        return idx, valid
-    hg = HashGrid(points, max(radius, 1e-12))
-    for j, q in enumerate(queries):
-        cand = hg.query_radius(q, radius)
-        if len(cand) == 0:
-            continue
-        sub = points[cand]
-        d = np.linalg.norm(sub - q, axis=1)
-        sel = np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0], d))[:max_neighbors]
-        cand = cand[sel]
-        sub = points[cand]
-        cand = cand[lexical_order(sub)]
-        k = len(cand)
-        idx[j, :k] = cand
-        valid[j, :k] = True
+    idx = np.zeros((len(queries), max_neighbors), dtype=np.int64)
+    valid = np.zeros((len(queries), max_neighbors), dtype=bool)
+    rows, cols, d2 = radius_pairs(points, queries, radius)
+    for keys in ((np.sqrt(d2),), ()):      # the K nearest, then canonical order
+        p = points[cols]
+        order = np.lexsort((cols, p[:, 2], p[:, 1], p[:, 0], *keys, rows))
+        rows, cols, d2 = rows[order], cols[order], d2[order]
+        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        keep = slot < max_neighbors
+        rows, cols, d2, slot = rows[keep], cols[keep], d2[keep], slot[keep]
+    idx[rows, slot] = cols
+    valid[rows, slot] = True
     return idx, valid
 
 
 def nearest_indices(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of the nearest point for every query (brute force; the coarse
-    point sets this serves stay small)."""
-    d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1).astype(np.int64)
+    """Index of the nearest point for every query (lowest index on ties)."""
+    return nearest_points(points, queries)
 
 
 # -- parameterized pieces -------------------------------------------------------
@@ -255,11 +247,12 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, valid: np.ndarray | None,
     return norm * gamma + beta
 
 
-def _mlp(x: Tensor, params: dict, prefix: str, n_layers: int,
-         valid: np.ndarray | None = None,
+def _mlp(x: Tensor, params: dict, prefix: str, valid: np.ndarray | None = None,
          stat_order: np.ndarray | None = None) -> Tensor:
-    """Shared nonlinear map h: (Linear -> BatchNorm -> ReLU) per width."""
-    for ell in range(n_layers):
+    """Shared nonlinear map h: (Linear -> BatchNorm -> ReLU) per layer of
+    `prefix` in `params`."""
+    ell = 0
+    while f"{prefix}.l{ell}.W" in params:
         w = params[f"{prefix}.l{ell}.W"]
         b = params[f"{prefix}.l{ell}.b"]
         if x.value.ndim == 3:
@@ -270,7 +263,90 @@ def _mlp(x: Tensor, params: dict, prefix: str, n_layers: int,
         h = _batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
                        params[f"{prefix}.l{ell}.beta"], valid, stat_order)
         x = h.relu()
+        ell += 1
     return x
+
+
+# -- layer geometry: tape-free, from positions alone -----------------------------
+
+@dataclass
+class Grouping:
+    """Neighbor table (idx, valid) of one set convolution and each neighbor's
+    offset from its row's point; a downsampling level adds its output points
+    `xbar` and feature scales |center - xbar|."""
+
+    idx: np.ndarray
+    valid: np.ndarray
+    offsets: np.ndarray
+    xbar: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+
+def down_geometry(points: np.ndarray, centers: np.ndarray, level: LevelConfig) -> Grouping:
+    idx, valid = ball_gather(points, centers, level.radius, level.max_neighbors)
+    npos = points[idx]                                      # (n, K, 3)
+    dist = np.linalg.norm(npos - centers[:, None, :], axis=2)
+    w = kernel_k(dist / level.radius) * valid
+    wsum = w.sum(axis=1)
+    has = wsum > 0.0
+    wn = np.where(has[:, None], w / np.maximum(wsum, 1e-300)[:, None], 0.0)
+    xbar = np.einsum("nk,nkc->nc", wn, npos)
+    xbar = np.where(has[:, None], xbar, centers)
+    scale = np.linalg.norm(centers - xbar, axis=1)          # per-neighborhood |x - xbar|
+    return Grouping(idx, valid, npos - centers[:, None, :], xbar, scale)
+
+
+def embedding_geometry(low: np.ndarray, high: np.ndarray, radius: float,
+                       max_neighbors: int, smoothing_radius: float):
+    """Groupings of the embedding (high points around each low point) and of
+    the smoothing convolutions after it (low points around each low point)."""
+    idx, valid = ball_gather(high, low, radius, max_neighbors)
+    sidx, svalid = ball_gather(low, low, smoothing_radius, max_neighbors)
+    return (Grouping(idx, valid, low[:, None, :] - high[idx]),
+            Grouping(sidx, svalid, low[:, None, :] - low[sidx]))
+
+
+def up_geometry(coarse: np.ndarray, fine: np.ndarray, radius: float, max_neighbors: int):
+    """An upsampling blend: coarse neighbors of every fine point, their
+    normalized weights, and the canonical order of the fine points."""
+    idx, valid = ball_gather(coarse, fine, radius, max_neighbors)
+    dist = np.linalg.norm(coarse[idx] - fine[:, None, :], axis=2)
+    w = kernel_k(dist / radius) * valid
+    wsum = w.sum(axis=1)
+    dead = wsum <= 0.0
+    if dead.any():
+        idx[dead, 0] = nearest_indices(coarse, fine[dead])
+        w[dead] = 0.0
+        w[dead, 0] = 1.0
+        wsum = w.sum(axis=1)
+    return idx, w / wsum[:, None], lexical_order(fine)
+
+
+def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
+    """Masked max over each row's neighbors of h(parts..., offset)."""
+    inp = concat([*parts, as_tensor(group.offsets)], axis=-1)
+    h = _mlp(inp, params, prefix, valid=group.valid)
+    return masked_max(h, group.valid)
+
+
+def _down(g: Grouping, feats: Tensor, params: dict, prefix: str) -> Tensor:
+    return _set_conv([feats.gather(g.idx) * g.scale[:, None, None]], g, params, prefix)
+
+
+def _embed(group: Grouping, smooth: Grouping, low: Tensor, high: Tensor,
+           params: dict, prefix: str, smoothing_convs: int) -> Tensor:
+    n, k = group.idx.shape
+    self_idx = np.repeat(np.arange(n)[:, None], k, axis=1)
+    emb = _set_conv([low.gather(self_idx), high.gather(group.idx)], group, params, prefix)
+    for s in range(smoothing_convs):
+        emb = _set_conv([emb.gather(smooth.idx)], smooth, params, f"{prefix}.smooth{s}")
+    return emb
+
+
+def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tensor:
+    idx, weights, order = blend
+    inp = concat([weighted_sum(coarse.gather(idx), weights), skip], axis=-1)
+    return _mlp(inp, params, prefix, stat_order=order)
 
 
 def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
@@ -287,23 +363,9 @@ def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
     """
     if query_centers is None:
         query_centers = points[farthest_point_indices(points, level.count)]
-    idx, valid = ball_gather(points, query_centers, level.radius, level.max_neighbors)
-    npos = points[idx]                                      # (n, K, 3)
-    dist = np.linalg.norm(npos - query_centers[:, None, :], axis=2)
-    w = kernel_k(dist / level.radius) * valid
-    wsum = w.sum(axis=1)
-    has = wsum > 0.0
-    wn = np.where(has[:, None], w / np.maximum(wsum, 1e-300)[:, None], 0.0)
-    xbar = np.einsum("nk,nkc->nc", wn, npos)
-    xbar = np.where(has[:, None], xbar, query_centers)
-    scale = np.linalg.norm(query_centers - xbar, axis=1)    # per-neighborhood |x - xbar|
-
-    gfeat = feats.gather(idx) * scale[:, None, None]
-    offsets = npos - query_centers[:, None, :]
-    inp = concat([gfeat, as_tensor(offsets)], axis=-1)
-    h = _mlp(inp, params, prefix, len(level.widths), valid=valid)
-    pooled = masked_max(h, valid)
-    return FeatureSet(points=xbar, features=pooled, centers=query_centers)
+    g = down_geometry(points, query_centers, level)
+    return FeatureSet(points=g.xbar, centers=query_centers,
+                      features=_down(g, feats, params, prefix))
 
 
 def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
@@ -320,35 +382,11 @@ def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
     if low.centers is None or high.centers is None \
             or not np.array_equal(low.centers, high.centers):
         raise CenterMismatch("flow embedding requires matching neighborhood centers")
-    idx, valid = ball_gather(high.points, low.points, radius, max_neighbors)
-    n = len(low.points)
-    k = idx.shape[1]
-    self_idx = np.repeat(np.arange(n)[:, None], k, axis=1)
-    f3 = low.features.gather(self_idx)
-    g3 = high.features.gather(idx)
-    offsets = low.points[:, None, :] - high.points[idx]
-    inp = concat([f3, g3, as_tensor(offsets)], axis=-1)
-    h = _mlp(inp, params, prefix, len_widths(params, prefix), valid=valid)
-    emb = masked_max(h, valid)
-    out = FeatureSet(points=low.points, features=emb, centers=low.centers)
-    for s in range(smoothing_convs):
-        sp = f"{prefix}.smooth{s}"
-        sidx, svalid = ball_gather(out.points, out.points, smoothing_radius,
-                                   max_neighbors)
-        sfeat = out.features.gather(sidx)
-        soff = out.points[:, None, :] - out.points[sidx]
-        sinp = concat([sfeat, as_tensor(soff)], axis=-1)
-        sh = _mlp(sinp, params, sp, len_widths(params, sp), valid=svalid)
-        out = FeatureSet(points=out.points, features=masked_max(sh, svalid),
-                         centers=out.centers)
-    return out
-
-
-def len_widths(params: dict, prefix: str) -> int:
-    n = 0
-    while f"{prefix}.l{n}.W" in params:
-        n += 1
-    return n
+    embed, smooth = embedding_geometry(low.points, high.points, radius, max_neighbors,
+                                       smoothing_radius)
+    emb = _embed(embed, smooth, low.features, high.features, params, prefix,
+                 smoothing_convs)
+    return FeatureSet(points=low.points, features=emb, centers=low.centers)
 
 
 def upsample_conv(coarse: FeatureSet, fine_points: np.ndarray, skip: FeatureSet,
@@ -361,23 +399,31 @@ def upsample_conv(coarse: FeatureSet, fine_points: np.ndarray, skip: FeatureSet,
     back to its single nearest one), concatenated with the skip feature at
     that fine point, and passed through the MLP.
     """
-    idx, valid = ball_gather(coarse.points, fine_points, radius, max_neighbors)
-    dist = np.linalg.norm(coarse.points[idx] - fine_points[:, None, :], axis=2)
-    w = kernel_k(dist / radius) * valid
-    wsum = w.sum(axis=1)
-    dead = wsum <= 0.0
-    if dead.any():
-        nearest = nearest_indices(coarse.points, fine_points[dead])
-        idx[dead, 0] = nearest
-        w[dead] = 0.0
-        w[dead, 0] = 1.0
-        wsum = w.sum(axis=1)
-    wn = w / wsum[:, None]
-    interp = weighted_sum(coarse.features.gather(idx), wn)
-    inp = concat([interp, skip.features], axis=-1)
-    order = lexical_order(fine_points)
-    out = _mlp(inp, params, prefix, len_widths(params, prefix), stat_order=order)
-    return FeatureSet(points=fine_points, features=out)
+    g = up_geometry(coarse.points, fine_points, radius, max_neighbors)
+    return FeatureSet(points=fine_points,
+                      features=_up(g, coarse.features, skip.features, params, prefix))
+
+
+def geometry_plan(x_l: np.ndarray, x_h: np.ndarray, config: NetworkConfig):
+    """The tape-free half of a forward pass, from the low and high positions:
+    the low and the high downsampling per level, the embedding and smoothing
+    groupings, and the upsampling blends (coarsest first)."""
+    if len(x_l) == 0 or len(x_h) == 0:
+        raise ValueError("forward requires non-empty particle sets")
+    down_l, down_h = [], []
+    cur_l, cur_h = x_l, x_h
+    for lv in config.levels:
+        qc = cur_l[farthest_point_indices(cur_l, lv.count)]
+        down_l.append(down_geometry(cur_l, qc, lv))
+        down_h.append(down_geometry(cur_h, qc, lv))
+        cur_l, cur_h = down_l[-1].xbar, down_h[-1].xbar
+    embed, smooth = embedding_geometry(cur_l, cur_h, config.embedding_radius,
+                                       config.levels[-1].max_neighbors,
+                                       config.embedding_radius)
+    points = [x_l] + [g.xbar for g in down_l]               # fine to coarse
+    up = [up_geometry(points[i + 1], points[i], lv.radius, lv.max_neighbors)
+          for i, lv in reversed(list(enumerate(config.levels)))]
+    return down_l, down_h, embed, smooth, up
 
 
 # -- the assembled model --------------------------------------------------------
@@ -429,32 +475,24 @@ class DisplacementNet:
 
     def forward(self, x_l: ParticleSet, x_h: ParticleSet) -> Tensor:
         """Per-low-particle displacement (count_l, 3) as a tape tensor."""
-        if x_l.count == 0 or x_h.count == 0:
-            raise ValueError("forward requires non-empty particle sets")
-        cfg = self.config
-        fl = FeatureSet(points=x_l.positions, features=as_tensor(x_l.velocities))
-        fh = FeatureSet(points=x_h.positions, features=as_tensor(x_h.velocities))
-        skips = [fl]
-        cur_l, cur_h = fl, fh
-        for i, lv in enumerate(cfg.levels):
-            qc = cur_l.points[farthest_point_indices(cur_l.points, lv.count)]
-            new_l = downsample_conv(cur_l.points, cur_l.features, lv, self.params,
-                                    f"down{i}", query_centers=qc)
-            new_h = downsample_conv(cur_h.points, cur_h.features, lv, self.params,
-                                    f"down{i}", query_centers=qc)
-            skips.append(new_l)
-            cur_l, cur_h = new_l, new_h
-        emb = flow_embedding(cur_l, cur_h, cfg.embedding_radius,
-                             cfg.levels[-1].max_neighbors, self.params, "embed",
-                             cfg.smoothing_convs, smoothing_radius=cfg.embedding_radius)
-        feat = emb
-        for j in range(len(cfg.levels)):
-            target = skips[len(cfg.levels) - 1 - j]
-            radius = cfg.levels[len(cfg.levels) - 1 - j].radius
-            feat = upsample_conv(feat, target.points, target, radius, self.params,
-                                 f"up{j}",
-                                 max_neighbors=cfg.levels[len(cfg.levels) - 1 - j].max_neighbors)
-        return feat.features @ self.params["reg.W"] + self.params["reg.b"]
+        return self.apply(geometry_plan(x_l.positions, x_h.positions, self.config),
+                          x_l.velocities, x_h.velocities)
+
+    def apply(self, plan, v_l: np.ndarray, v_h: np.ndarray) -> Tensor:
+        """The numeric half of a forward pass: displacements from a
+        `geometry_plan` and the velocities of its low and high particles."""
+        down_l, down_h, embed, smooth, up = plan
+        params = self.params
+        f_l, f_h = as_tensor(v_l), as_tensor(v_h)
+        skips = [f_l]
+        for i, (g_l, g_h) in enumerate(zip(down_l, down_h)):
+            f_l = _down(g_l, f_l, params, f"down{i}")
+            f_h = _down(g_h, f_h, params, f"down{i}")
+            skips.append(f_l)
+        feat = _embed(embed, smooth, f_l, f_h, params, "embed", self.config.smoothing_convs)
+        for j, blend in enumerate(up):
+            feat = _up(blend, feat, skips[-2 - j], params, f"up{j}")
+        return feat @ params["reg.W"] + params["reg.b"]
 
     def predict(self, x_l: ParticleSet, x_h: ParticleSet) -> np.ndarray:
         """Displacements as a plain array."""
@@ -559,30 +597,48 @@ def loss_up(omega, omega_star, omega_back, lam: np.ndarray,
     return (flow_term + cycle_term).mean()
 
 
-def sample_loss(model: DisplacementNet, sample: TrainingSample):
-    """Full loss of one sample, including the cycle pass re-predicted from the
-    ground-truth-displaced coordinates. Returns (loss tensor, omega tensor)."""
-    omega = model.forward(sample.x_l, sample.x_h)
+def sample_plan(sample: TrainingSample, config: NetworkConfig):
+    """The geometry of one sample's loss: plans of the forward pass on
+    (x_l, x_h) and of the cycle pass on (x_l + ground truth, x_l), each low
+    particle's first-level neighborhood, and every neighborhood's mean
+    lambda weight."""
+    forward = geometry_plan(sample.x_l.positions, sample.x_h.positions, config)
     displaced = ParticleSet(sample.x_l.positions + sample.gt_displacement,
                             sample.x_l.velocities)
-    omega_back = model.forward(displaced, sample.x_l)
-    assign, centers = neighborhood_assignment(sample.x_l.positions, model.config)
-    lam = np.zeros(len(centers))
-    np.add.at(lam, assign, sample.lambda_weights)
-    counts = np.zeros(len(centers))
-    np.add.at(counts, assign, 1.0)
+    cycle = geometry_plan(displaced.positions, sample.x_l.positions, config)
+    assign, centers = neighborhood_assignment(sample.x_l.positions, config)
+    lam = np.bincount(assign, weights=sample.lambda_weights, minlength=len(centers))
+    counts = np.bincount(assign, minlength=len(centers))
     lam = np.where(counts > 0, lam / np.maximum(counts, 1.0), 0.0)
+    return forward, cycle, assign, lam
+
+
+def _plan_loss(model: DisplacementNet, sample: TrainingSample, plan):
+    forward, cycle, assign, lam = plan
+    v = sample.x_l.velocities
+    omega = model.apply(forward, v, sample.x_h.velocities)
+    omega_back = model.apply(cycle, v, v)
     return loss_up(omega, sample.gt_displacement, omega_back, lam, assign), omega
 
 
-def loss_gradients(model: DisplacementNet, sample: TrainingSample):
-    """Loss value and exact parameter gradients for one sample."""
+def sample_loss(model: DisplacementNet, sample: TrainingSample):
+    """Full loss of one sample, including the cycle pass re-predicted from the
+    ground-truth-displaced coordinates. Returns (loss tensor, omega tensor)."""
+    return _plan_loss(model, sample, sample_plan(sample, model.config))
+
+
+def _plan_gradients(model: DisplacementNet, sample: TrainingSample, plan):
     model.zero_grad()
-    loss, _ = sample_loss(model, sample)
+    loss, _ = _plan_loss(model, sample, plan)
     loss.backward()
     grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for k, t in model.params.items()}
     return float(loss.value), grads
+
+
+def loss_gradients(model: DisplacementNet, sample: TrainingSample):
+    """Loss value and exact parameter gradients for one sample."""
+    return _plan_gradients(model, sample, sample_plan(sample, model.config))
 
 
 class AdamState:
@@ -607,8 +663,9 @@ class AdamState:
             model.params[k].value -= self.lr * update
 
 
-def evaluate_loss(model: DisplacementNet, samples: list[TrainingSample]) -> float:
-    vals = [float(sample_loss(model, s)[0].value) for s in samples]
+def evaluate_loss(model: DisplacementNet, samples: list[TrainingSample], plans) -> float:
+    """Mean loss over samples, given their `sample_plan`s."""
+    vals = [float(_plan_loss(model, s, p)[0].value) for s, p in zip(samples, plans)]
     return float(np.mean(vals)) if vals else float("nan")
 
 
@@ -619,10 +676,13 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
 
     The learning rate anneals on a cosine from `lr` to `lr * lr_decay`.
     Returns (model, history) with per-epoch mean train loss and, when a
-    validation list is given, per-epoch validation loss.
+    validation list is given, per-epoch validation loss. The geometry of
+    every sample is built once, before the first epoch.
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
+    plans = [sample_plan(s, config) for s in dataset]
+    val_plans = [sample_plan(s, config) for s in val or ()]
     model = DisplacementNet.create(config)
     opt = AdamState(model, lr=lr)
     rng = np.random.default_rng(config.seed)
@@ -635,7 +695,7 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
         order = rng.permutation(len(dataset))
         losses = []
         for si in order:
-            loss_val, grads = loss_gradients(model, dataset[si])
+            loss_val, grads = _plan_gradients(model, dataset[si], plans[si])
             if not np.isfinite(loss_val):
                 raise NonFiniteLoss(
                     f"non-finite loss {loss_val} at epoch {epoch}, sample {si}")
@@ -643,5 +703,5 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
             losses.append(loss_val)
         history["train"].append(float(np.mean(losses)))
         if val:
-            history["val"].append(evaluate_loss(model, val))
+            history["val"].append(evaluate_loss(model, val, val_plans))
     return model, history

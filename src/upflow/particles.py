@@ -1,10 +1,12 @@
-"""Particle state, spatial hashing for neighbor queries, and particle advection."""
+"""Particle state, cKDTree neighbour queries, and particle advection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .grids import MACGrid, advect_positions, sample_trilinear
 
@@ -38,62 +40,29 @@ class ParticleSet:
         return ParticleSet(self.positions.copy(), self.velocities.copy())
 
 
-class HashGrid:
-    """Uniform spatial hash over points for fixed-radius neighbor queries."""
+def radius_pairs(points: np.ndarray, queries: np.ndarray, radius):
+    """Every (query, point) pair with d2 = sum((p - q)**2) <= radius**2 (one
+    radius, or one per query) as arrays (rows, cols, d2) grouped by row.
+    The cKDTree ball query runs on a radius 1e-9 larger, relatively, so its
+    own distance rounding loses no pair; d2 alone decides membership."""
+    radius = np.asarray(radius, dtype=np.float64)
+    lists = cKDTree(points).query_ball_point(queries, radius * (1.0 + 1e-9))
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    cols = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
+    rows = np.repeat(np.arange(len(queries)), counts)
+    d2 = np.sum((points[cols] - queries[rows]) ** 2, axis=1)
+    keep = d2 <= (radius[rows] if radius.ndim else radius) ** 2
+    return rows[keep], cols[keep], d2[keep]
 
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
-        self.cell = float(cell)
-        keys = np.floor(self.points / self.cell).astype(np.int64)
-        self._buckets: dict[tuple[int, int, int], np.ndarray] = {}
-        if len(keys):
-            self._kmin = keys.min(axis=0)
-            self._kmax = keys.max(axis=0)
-            order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-            sk = keys[order]
-            starts = np.flatnonzero(np.any(np.diff(sk, axis=0) != 0, axis=1)) + 1
-            bounds = np.concatenate(([0], starts, [len(sk)]))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                self._buckets[tuple(sk[a])] = order[a:b]
-        else:
-            self._kmin = np.zeros(3, dtype=np.int64)
-            self._kmax = -np.ones(3, dtype=np.int64)
 
-    def query_radius(self, x: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of stored points within `radius` of `x` (unsorted)."""
-        x = np.asarray(x, dtype=np.float64)
-        reach = int(np.ceil(radius / self.cell))
-        base = np.floor(x / self.cell).astype(np.int64)
-        lo = np.maximum(base - reach, self._kmin)
-        hi = np.minimum(base + reach, self._kmax)
-        if np.any(lo > hi):
-            return np.empty(0, dtype=np.int64)
-        found = []
-        for kx in range(lo[0], hi[0] + 1):
-            for ky in range(lo[1], hi[1] + 1):
-                for kz in range(lo[2], hi[2] + 1):
-                    b = self._buckets.get((kx, ky, kz))
-                    if b is not None:
-                        found.append(b)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(found)
-        d2 = np.sum((self.points[cand] - x) ** 2, axis=1)
-        return cand[d2 <= radius * radius]
-
-    def query_nearest(self, x: np.ndarray) -> int:
-        """Index of the nearest stored point to `x` (grows the search radius
-        until the ball query is non-empty; a non-empty ball of radius r
-        contains every point closer than r, so its minimum is global)."""
-        if not len(self.points):
-            raise ValueError("hash grid is empty")
-        radius = self.cell
-        while True:
-            idx = self.query_radius(x, radius)
-            if len(idx):
-                d2 = np.sum((self.points[idx] - x) ** 2, axis=1)
-                return int(idx[np.argmin(d2)])
-            radius *= 2.0
+def nearest_points(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the nearest point for every query: the lowest index among the
+    points of least d2, as a brute-force argmin over d2 picks it. The
+    cKDTree distance bounds a ball whose members are re-checked by d2."""
+    dist, _ = cKDTree(points).query(queries)
+    rows, cols, d2 = radius_pairs(points, queries, dist * (1.0 + 1e-9))
+    order = np.lexsort((cols, d2, rows))
+    return cols[order][np.searchsorted(rows[order], np.arange(len(queries)))]
 
 
 def advect_particles(p: ParticleSet, vel: MACGrid, dt: float) -> ParticleSet:

@@ -139,6 +139,16 @@ def test_solve_flow_unconverged_exits_nonzero(pair_frames, tmp_path, monkeypatch
                  "--dims", "12,12,12"]) == 1
 
 
+def test_solve_flow_reports_unused_frames(pair_frames, tmp_path, capsys):
+    low_frames, high_frames = pair_frames
+    high = _copy_frames(high_frames, tmp_path / "high", "high_000.upf")
+    assert main(["solve-flow", "--low", str(low_frames), "--high", str(high),
+                 "--out", str(tmp_path / "field.ugr"), "--dims", "12,12,12"]) == 0
+    out = capsys.readouterr().out
+    assert "holds 2 frames" in out and "solving the first 1" in out
+    assert "leaving out low_001.upf" in out
+
+
 def test_infer_pairs_grids_by_name(workspace, tmp_path):
     # one grid missing and an unrelated grid in its place: pairing by sorted
     # position would move frame 1 with the high track's velocity

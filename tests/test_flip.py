@@ -4,6 +4,7 @@ import pytest
 from upflow import (FlipSolver, GridDesc, ParticleSet, ScalarGrid, SceneSpec,
                     SimParams, resample_narrow_band, sample_trilinear, simulate)
 from upflow.flip import shape_sdf
+from upflow.kernels import kernel_k
 
 
 def still_pool_scene():
@@ -170,3 +171,39 @@ def test_resample_inherits_nearby_velocity():
     ci = desc.cell_index(out.positions)
     same_cell = np.all(ci == desc.cell_index(pts)[0], axis=1)
     assert np.allclose(out.velocities[same_cell][:, 0], 2.0)
+
+
+def loop_velocity_fill(pos, vel, added, r):
+    """The per-particle loop resample_narrow_band fills seed velocities
+    with, over a brute-force search returning candidates in the (cell of
+    side r, index) order of the spatial hash it used."""
+    avel = np.zeros_like(added)
+    key = np.floor(pos / r).astype(np.int64)
+    for i, x in enumerate(added):
+        idx = np.flatnonzero(np.sum((pos - x) ** 2, axis=1) <= r * r)
+        idx = idx[np.lexsort((idx, key[idx, 2], key[idx, 1], key[idx, 0]))]
+        if len(idx):
+            w = kernel_k(np.linalg.norm(pos[idx] - x, axis=1) / r)
+            if w.sum() > 0:
+                avel[i] = (w[:, None] * vel[idx]).sum(axis=0) / w.sum()
+    return avel
+
+
+def test_resample_seed_velocities_equal_the_loop():
+    # the whole grid is band and no cell is overfull, so the survivors come
+    # back first and unchanged, followed by the seeds
+    desc = GridDesc((0, 0, 0), 0.1, (5, 5, 5))
+    phi = ScalarGrid(desc, np.full(desc.dims, -0.01))
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        pts = rng.uniform(0.0, 0.5, size=(int(rng.integers(1, 60)), 3))
+        pts[:5] = np.round(pts[:5], 1)                  # on cell faces
+        pts = np.concatenate([pts, pts[:3]])             # coincident survivors
+        vel = rng.normal(size=pts.shape)
+        out = resample_narrow_band(ParticleSet(pts, vel), phi, d_b=1, target_per_cell=12,
+                                   seed=int(rng.integers(100)))
+        n = len(pts)
+        assert np.array_equal(out.positions[:n], pts)
+        assert np.array_equal(out.velocities[:n], vel)
+        want = loop_velocity_fill(pts, vel, out.positions[n:], 2 * desc.cell_size)
+        assert np.array_equal(out.velocities[n:], want)

@@ -85,3 +85,13 @@ def test_match_nearest_agrees_with_brute_force():
         m = match_nearest(pp, rp)
         d2 = np.sum((rp[:, None, :] - pp[None, :, :]) ** 2, axis=2)
         assert np.array_equal(m, np.argmin(d2, axis=1))
+
+
+def test_match_nearest_takes_the_lowest_index_on_ties():
+    rng = np.random.default_rng(41)
+    lattice = rng.integers(-3, 4, size=(50, 3)) * 0.1
+    pp = np.concatenate([lattice, lattice[:8]])          # coincident points tie
+    rp = np.concatenate([rng.integers(-6, 7, size=(60, 3)) * 0.05,
+                         rng.uniform(-0.4, 0.4, size=(20, 3))])
+    d2 = np.sum((rp[:, None, :] - pp[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(match_nearest(pp, rp), np.argmin(d2, axis=1))

@@ -1,16 +1,18 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
                     TrainingSample, loss_up)
 from upflow.autodiff import as_tensor
-from upflow.net import (DisplacementNet, FeatureSet, LevelConfig,
+from upflow.net import (AdamState, DisplacementNet, FeatureSet, LevelConfig,
                         NetworkConfig, ball_gather, downsample_conv,
                         farthest_point_indices, flow_embedding, lexical_order,
-                        loss_gradients, neighborhood_assignment, sample_loss,
-                        train, upsample_conv)
+                        loss_gradients, nearest_indices, neighborhood_assignment,
+                        sample_loss, train, upsample_conv)
 
 
 def cloud(n, seed=0, scale=0.2, center=(0.5, 0.5, 0.5)):
@@ -80,6 +82,88 @@ def test_ball_gather_membership_and_order():
     # canonical order: by lexicographic position
     inside = idx[0][valid[0]]
     assert np.array_equal(inside, inside[lexical_order(pts[inside])])
+
+
+def loop_ball_gather(points, queries, radius, max_neighbors):
+    """The per-query loop ball_gather replaced, with a brute-force candidate
+    search in index order (the order the spatial hash it used returned
+    coincident points in)."""
+    idx = np.zeros((len(queries), max_neighbors), dtype=np.int64)
+    valid = np.zeros((len(queries), max_neighbors), dtype=bool)
+    for j, q in enumerate(queries):
+        cand = np.flatnonzero(np.sum((points - q) ** 2, axis=1) <= radius * radius)
+        if len(cand) == 0:
+            continue
+        sub = points[cand]
+        d = np.linalg.norm(sub - q, axis=1)
+        sel = np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0], d))[:max_neighbors]
+        cand = cand[sel]
+        cand = cand[lexical_order(points[cand])]
+        idx[j, :len(cand)] = cand
+        valid[j, :len(cand)] = True
+    return idx, valid
+
+
+_lattice = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_lattice, dup=st.lists(st.integers(0, 39), max_size=10),
+       qs=st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=1, max_size=12),
+       half=st.booleans(), spacing=st.sampled_from([0.1, 0.3, 1.0]),
+       reach=st.sampled_from([0.0, 1.0, 2 ** 0.5, 3 ** 0.5, 2.0, 2.5]),
+       k=st.integers(1, 8))
+def test_ball_gather_equals_the_loop(pts, dup, qs, half, spacing, reach, k):
+    # lattices give distance ties, `dup` coincident points, a radius of 1,
+    # sqrt(2) or sqrt(3) spacings queries at exactly the radius, and queries
+    # far outside the lattice empty rows
+    points = np.array(pts + [pts[i % len(pts)] for i in dup], dtype=np.float64) * spacing
+    queries = np.array(qs, dtype=np.float64) * spacing
+    if half:
+        queries = queries + 0.5 * spacing
+    radius = reach * spacing
+    got = ball_gather(points, queries, radius, k)
+    want = loop_ball_gather(points, queries, radius, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_ball_gather_equals_the_loop_on_random_clouds():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        points = rng.uniform(size=(int(rng.integers(1, 300)), 3))
+        queries = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 80)), 3))
+        radius, k = float(rng.uniform(0.0, 0.4)), int(rng.integers(1, 40))
+        got = ball_gather(points, queries, radius, k)
+        want = loop_ball_gather(points, queries, radius, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.37])
+def test_nearest_indices_is_the_brute_force_argmin(spacing):
+    rng = np.random.default_rng(9)
+    lattice = rng.integers(-4, 5, size=(60, 3)).astype(np.float64) * spacing
+    points = np.concatenate([lattice, lattice[:10]])     # coincident points tie
+    queries = np.concatenate([rng.integers(-5, 6, size=(40, 3)) * spacing,
+                              rng.integers(-10, 11, size=(40, 3)) * 0.5 * spacing,
+                              rng.uniform(-1, 1, size=(40, 3))])
+    d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(nearest_indices(points, queries), np.argmin(d2, axis=1))
+
+
+def test_neighborhood_assignment_memory_stays_small():
+    # a dense queries x centers x 3 float64 distance array would take ~96 MB
+    rng = np.random.default_rng(10)
+    positions = rng.uniform(size=(4000, 3))
+    cfg = NetworkConfig(levels=(LevelConfig(1000, 0.1, (4,)),), upconv_widths=((4,),))
+    tracemalloc.start()
+    try:
+        assign, centers = neighborhood_assignment(positions, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    d2 = np.sum((positions[:200, None, :] - centers[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(assign[:200], np.argmin(d2, axis=1))
 
 
 # -- spec'd layer behaviors ----------------------------------------------------------
@@ -350,6 +434,35 @@ def test_train_deterministic_rerun():
     _, h1 = train(samples, cfg, epochs=3)
     _, h2 = train(samples, cfg, epochs=3)
     assert h1["train"] == h2["train"]
+
+
+def test_train_equals_a_loop_that_rebuilds_geometry_every_step():
+    # train builds each sample's geometry once; the public loss_gradients
+    # rebuilds it on every call
+    samples = [_sample(14, seed=s) for s in (31, 32, 33)]
+    val = [_sample(12, seed=34)]
+    cfg = tiny_config(seed=6)
+    epochs, lr, lr_decay = 4, 5e-3, 0.1
+    model, history = train(samples, cfg, epochs, val=val, lr=lr, lr_decay=lr_decay)
+
+    ref = DisplacementNet.create(cfg)
+    opt = AdamState(ref, lr=lr)
+    rng = np.random.default_rng(cfg.seed)
+    want = {"train": [], "val": []}
+    for epoch in range(epochs):
+        frac = epoch / (epochs - 1)
+        opt.lr = lr * (lr_decay + (1 - lr_decay) * 0.5 * (1 + np.cos(np.pi * frac)))
+        losses = []
+        for si in rng.permutation(len(samples)):
+            loss, grads = loss_gradients(ref, samples[si])
+            opt.step(ref, grads)
+            losses.append(loss)
+        want["train"].append(float(np.mean(losses)))
+        want["val"].append(float(np.mean([float(sample_loss(ref, s)[0].value)
+                                           for s in val])))
+    assert history == want
+    for k in ref.params:
+        assert np.array_equal(model.params[k].value, ref.params[k].value)
 
 
 def test_train_reports_validation():
