@@ -143,22 +143,30 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
     n = len(originals)
     if not alphas:
         return out
-    for i, pair in enumerate(originals):
+    partners = []
+    for i in range(n):
         j = int(rng.integers(0, n - 1))
-        if j >= i:
-            j += 1
-        partner = originals[j]
+        partners.append(j + (j >= i))
+    # a pair's SDF stacks serve once as source and once per pair that picks
+    # it as partner: build them on first use, drop them after the last
+    uses = (1 + np.bincount(partners, minlength=n)).tolist()
+    stacks = {}
+    for i, pair in enumerate(originals):
+        j = partners[i]
         morphed_tracks = {}
         for track, params in (("low", manifest.sim_low), ("high", manifest.sim_high)):
-            src_frames = getattr(pair, f"{track}_frames")
-            dst_frames = getattr(partner, f"{track}_frames")
-            desc = params.domain
-            radius = _sdf_radius(params)
-            src_st = _track_stack(src_frames, desc, radius, params.dt)
-            dst_st = _track_stack(dst_frames, desc, radius, params.dt)
-            fields = _solve_stack(src_st, dst_st, flow_params,
+            for k in (i, j):
+                if (k, track) not in stacks:
+                    stacks[k, track] = _track_stack(getattr(originals[k], f"{track}_frames"),
+                                                    params.domain, _sdf_radius(params),
+                                                    params.dt)
+            fields = _solve_stack(stacks[i, track], stacks[j, track], flow_params,
                                   f"pair {i} -> pair {j}, {track} track")
-            morphed_tracks[track] = (src_frames, fields)
+            morphed_tracks[track] = (getattr(pair, f"{track}_frames"), fields)
+        for k in (i, j):
+            uses[k] -= 1
+            if not uses[k]:
+                del stacks[k, "low"], stacks[k, "high"]
         for alpha in alphas:
             new_tracks = {}
             for track in ("low", "high"):

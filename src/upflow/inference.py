@@ -51,7 +51,8 @@ def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc,
     """Kernel-weighted scatter of per-particle displacements to cell centers.
 
     Returns (DeformationField, covered_mask); cells no particle reaches hold
-    zero and are flagged uncovered.
+    zero and are flagged uncovered. Raises ValueError for a non-positive
+    radius.
     """
     omega = np.asarray(omega, dtype=np.float64).reshape(-1, 3)
     if len(omega) != x.count:
@@ -59,8 +60,7 @@ def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc,
     h = desc.cell_size
     if radius is None:
         radius = 1.5 * h
-    reach = int(np.ceil(radius / h)) + 1
-    wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, radius, reach)
+    wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, radius)
     covered = wsum > 0.0
     vectors = np.where(covered[..., None], acc / np.maximum(wsum, 1e-300)[..., None], 0.0)
     return DeformationField(desc, vectors), covered

@@ -40,22 +40,39 @@ def neighborhood_weights(center: np.ndarray, neighbors: np.ndarray, radius: floa
 
 
 def kernel_scatter(positions: np.ndarray, values: np.ndarray, origin, h: float,
-                   dims: tuple[int, int, int], support: float, reach: int):
+                   dims: tuple[int, int, int], support: float):
     """Kernel-weighted scatter of per-particle values to cell centers.
 
     Every particle adds kernel_k(|c - x| / support) to the weight of each
-    cell center c within `reach` cells of its own cell, and that weight
-    times its value row to the cell's accumulator. Returns (wsum, acc) of
-    shapes `dims` and `dims + (values.shape[1],)`.
+    cell center c, and that weight times its value row to the cell's
+    accumulator. Returns (wsum, acc) of shapes `dims` and
+    `dims + (values.shape[1],)`. Raises ValueError unless `support` and `h`
+    are positive.
+
+    Offsets o from a particle's base cell (the nearest cell center at or
+    below it on every axis) are visited in lexicographic order within
+    ceil(support / h) + 1 cells; an offset is skipped when its nearest
+    approach, sum(max(0, o - 1, -o)**2) in cells squared, lies beyond the
+    support (with a 1e-9 relative margin against rounding). Only weightless
+    cells are skipped, so the sums are those of the full window in the same
+    order.
     """
+    if not (support > 0.0 and h > 0.0):
+        raise ValueError(f"support and cell size must be positive, got {support} and {h}")
     nx, ny, nz = dims
     origin = np.asarray(origin)
     wsum = np.zeros(dims)
     acc = np.zeros(dims + (values.shape[1],))
     pidx = np.floor((positions - origin) / h - 0.5).astype(np.int64)
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            for dz in range(-reach, reach + 1):
+    reach = int(np.ceil(support / h)) + 1
+    window = range(-reach, reach + 1)
+    approach = {o: max(0, o - 1, -o) ** 2 for o in window}
+    limit = (support / h) ** 2 * (1.0 + 1e-9)
+    for dx in window:
+        for dy in window:
+            for dz in window:
+                if approach[dx] + approach[dy] + approach[dz] > limit:
+                    continue
                 cell = pidx + np.array([dx, dy, dz])
                 ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
                 if not ok.any():

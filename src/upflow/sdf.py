@@ -20,16 +20,13 @@ from .particles import ParticleSet
 _FAR = 1e30
 
 
-def _blended_sphere_field(p: ParticleSet, desc: GridDesc, radius: float,
-                          support: float, band_cells: int):
+def _blended_sphere_field(p: ParticleSet, desc: GridDesc, radius: float, support: float):
     """Zhu-Bridson blend on cells within the particle footprint.
 
     Returns (phi, covered) where covered marks cells with nonzero kernel mass.
     """
-    h = desc.cell_size
-    reach = min(int(np.ceil(support / h)) + 1, band_cells + 1)
-    wsum, xsum = kernel_scatter(p.positions, p.positions, desc.origin, h, desc.dims,
-                                support, reach)
+    wsum, xsum = kernel_scatter(p.positions, p.positions, desc.origin, desc.cell_size,
+                                desc.dims, support)
     covered = wsum > 0.0
     phi = np.full(desc.dims, _FAR)
     if covered.any():
@@ -107,13 +104,13 @@ def redistance(phi: np.ndarray, frozen: np.ndarray, h: float,
 
 
 def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float,
-                       support_scale: float = 2.0, band_cells: int = 3) -> ScalarGrid:
+                       support_scale: float = 2.0) -> ScalarGrid:
     """Signed distance field of the particle liquid on `desc`.
 
     Negative inside, positive outside; values near the zero level set come
     from the blended-sphere construction, values farther out from
-    redistancing. `band_cells` caps the scatter footprint (the surfacing
-    narrow band, in cells).
+    redistancing. The blend reaches `support_scale * radius` from each
+    particle.
 
     Requires at least one particle.
     """
@@ -122,7 +119,7 @@ def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float,
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     support = support_scale * radius
-    phi, covered = _blended_sphere_field(p, desc, radius, support, band_cells)
+    phi, covered = _blended_sphere_field(p, desc, radius, support)
     # outside the footprint the liquid cannot reach: positive far field
     phi = np.where(covered, phi, _FAR)
     frozen = _interface_cells(np.where(covered, phi, _FAR)) & covered

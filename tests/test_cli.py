@@ -11,6 +11,7 @@ import upflow
 from upflow import FlowParams, LevelConfig, NetworkConfig
 from upflow.cli import main
 from upflow.net import DisplacementNet
+from upflow.optflow import alignment_penalty
 from upflow import io as uio
 
 GEN_CFG = """
@@ -123,12 +124,23 @@ def test_solve_flow_writes_field(pair_frames, tmp_path):
     assert field.vectors.shape[-1] == 3
 
 
-def test_solve_flow_no_align_flag(pair_frames, tmp_path):
+def test_solve_flow_no_align_flag(pair_frames, tmp_path, monkeypatch):
+    # both fields come out alike on this static pair, so count the
+    # alignment penalties the solve builds instead
     low_frames, high_frames = pair_frames
-    out = tmp_path / "field_noalign.ugr"
-    assert main(["solve-flow", "--low", str(low_frames), "--high",
-                 str(high_frames), "--out", str(out), "--no-align",
-                 "--dims", "12,12,12"]) == 0
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return alignment_penalty(*args, **kwargs)
+
+    monkeypatch.setattr("upflow.cli.alignment_penalty", recording)
+    args = ["solve-flow", "--low", str(low_frames), "--high", str(high_frames),
+            "--dims", "12,12,12"]
+    assert main(args + ["--out", str(tmp_path / "field_noalign.ugr"), "--no-align"]) == 0
+    assert calls == []
+    assert main(args + ["--out", str(tmp_path / "field_align.ugr")]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_flow_unconverged_exits_nonzero(pair_frames, tmp_path, monkeypatch):

@@ -4,9 +4,11 @@ import pytest
 from upflow import (CGNotConverged, DatasetManifest, FlowParams, ParamMatrix,
                     ParticleSet, SceneSpec, SimParams, augment, gen_dataset,
                     make_training_samples)
+from upflow import dataset
 from upflow.dataset import PairRecord
 from upflow.flip import SimFrame
-from upflow.grids import MACGrid
+from upflow.grids import MACGrid, sample_trilinear
+from upflow.sdf import sdf_from_particles
 
 
 def tiny_theta(n_shapes=1):
@@ -117,6 +119,63 @@ def test_augment_deterministic_partner_choice():
         assert pa.source_pair_ids == pb.source_pair_ids
         assert np.array_equal(pa.low_frames[0].particles.positions,
                               pb.low_frames[0].particles.positions)
+
+
+def _augment_building_every_stack(manifest, alphas, seed, flow_params):
+    """augment as it was before stacks were shared: every pair surfaces its
+    own tracks and then its partner's, so partners are surfaced again."""
+    rng = np.random.default_rng(seed)
+    out = list(manifest.pairs)
+    n = len(manifest.pairs)
+    for i, pair in enumerate(manifest.pairs):
+        j = int(rng.integers(0, n - 1))
+        if j >= i:
+            j += 1
+        partner = manifest.pairs[j]
+        morphed = {}
+        for track, params in (("low", manifest.sim_low), ("high", manifest.sim_high)):
+            radius = dataset._sdf_radius(params)
+            src_frames = getattr(pair, f"{track}_frames")
+            src = dataset._track_stack(src_frames, params.domain, radius, params.dt)
+            dst = dataset._track_stack(getattr(partner, f"{track}_frames"),
+                                       params.domain, radius, params.dt)
+            fields = dataset._solve_stack(src, dst, flow_params, track)
+            morphed[track] = (src_frames, fields)
+        for alpha in alphas:
+            tracks = {}
+            for track, (frames, fields) in morphed.items():
+                tracks[track] = [f.particles.positions
+                                 + alpha * sample_trilinear(fld, f.particles.positions)
+                                 for f, fld in zip(frames, fields)]
+            out.append(((i, j), tracks))
+    return out[n:]
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3])
+def test_augment_surfaces_each_track_once(monkeypatch, n_pairs):
+    m = _synthetic_manifest(n_pairs=n_pairs, frames=2)
+    p = FlowParams(beta_s=0.5, cg_tol=1e-6)
+    ref = _augment_building_every_stack(m, [0.25, 0.5], 3, p)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sdf_from_particles(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "sdf_from_particles", counting)
+    out = augment(m, [0.25, 0.5], seed=3, flow_params=p)
+    # pairs x 2 tracks x 2 frames: with 2 pairs 8 calls, where building
+    # both stacks for every pair made 16
+    assert len(calls) == n_pairs * 2 * 2
+    added = out.pairs[len(m.pairs):]
+    assert len(added) == len(ref)
+    for pair, ((i, j), tracks) in zip(added, ref):
+        assert pair.source_pair_ids == (i, j)
+        for track in ("low", "high"):
+            got = [f.particles.positions for f in getattr(pair, f"{track}_frames")]
+            assert len(got) == len(tracks[track])
+            for a, b in zip(got, tracks[track]):
+                assert np.array_equal(a, b)
 
 
 def test_augment_needs_two_pairs():

@@ -65,6 +65,15 @@ def test_transfer_symmetric_pair_cancels(desc):
 
 # -- MAC resampling --------------------------------------------------------------
 
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_transfer_rejects_non_positive_radius(desc, radius):
+    # a zero radius used to return an all-uncovered field with a NaN warning,
+    # a negative one marked the particle's cell as covered
+    p = ParticleSet(np.array([[0.55, 0.55, 0.55]]), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="positive"):
+        transfer_to_grid(p, np.array([[1.0, 0.0, 0.0]]), desc, radius=radius)
+
+
 def test_resample_constant_field(desc):
     t = np.array([0.2, 0.4, -0.6])
     u = DeformationField(desc, np.broadcast_to(t, desc.dims + (3,)).copy())

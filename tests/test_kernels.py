@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from upflow import EmptyNeighborhood, GridDesc, kernel_k, neighborhood_weights
 from upflow.kernels import kernel_scatter
@@ -78,9 +78,76 @@ def test_scatter_matches_dense_sum():
     x = rng.uniform(-0.05, 0.55, size=(25, 3))
     vals = rng.normal(size=(25, 2))
     support = 0.17
-    wsum, acc = kernel_scatter(x, vals, desc.origin, desc.cell_size, desc.dims,
-                               support, reach=3)
+    wsum, acc = kernel_scatter(x, vals, desc.origin, desc.cell_size, desc.dims, support)
     w = kernel_k(np.linalg.norm(desc.cell_centers()[..., None, :] - x, axis=-1) / support)
     assert np.allclose(wsum, w.sum(axis=-1), rtol=1e-12, atol=0.0)
     assert np.allclose(acc, w @ vals, rtol=1e-12, atol=1e-15)
 
+
+
+def _scatter_full_window(positions, values, origin, h, dims, support, reach):
+    """The scatter before offset pruning: every offset within `reach` cells."""
+    nx, ny, nz = dims
+    origin = np.asarray(origin)
+    wsum = np.zeros(dims)
+    acc = np.zeros(dims + (values.shape[1],))
+    pidx = np.floor((positions - origin) / h - 0.5).astype(np.int64)
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            for dz in range(-reach, reach + 1):
+                cell = pidx + np.array([dx, dy, dz])
+                ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
+                if not ok.any():
+                    continue
+                cell = cell[ok]
+                centers = origin + (cell + 0.5) * h
+                d = np.linalg.norm(centers - positions[ok], axis=1)
+                w = kernel_k(d / support)
+                m = w > 0.0
+                if not m.any():
+                    continue
+                flat = (cell[m, 0] * ny + cell[m, 1]) * nz + cell[m, 2]
+                np.add.at(wsum.reshape(-1), flat, w[m])
+                np.add.at(acc.reshape(-1, acc.shape[-1]), flat, w[m][:, None] * values[ok][m])
+    return wsum, acc
+
+
+# half-cell lattice indices: even ones are cell faces, odd ones cell centers;
+# the range runs two cells past a 4-cell grid on either side
+_half_cells = st.tuples(*[st.integers(-4, 12)] * 3)
+_jitter = st.sampled_from([0.0, 1e-12, -1e-12, 0.25, 0.49, -0.49])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice=st.lists(st.tuples(_half_cells, _jitter), max_size=12),
+       free=st.lists(st.tuples(*[st.floats(-2.5, 6.5)] * 3), max_size=12),
+       h=st.sampled_from([0.1, 0.25, 1.0, 0.3]),
+       origin=st.sampled_from([(0.0, 0.0, 0.0), (-0.35, 0.1, 0.7)]),
+       dims=st.tuples(*[st.integers(1, 4)] * 3),
+       support_cells=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+                               st.floats(0.2, 3.5)))
+def test_pruned_scatter_equals_full_window(lattice, free, h, origin, dims, support_cells):
+    # skipping offsets that cannot reach must leave every sum bit-identical,
+    # also for particles on faces or centers, exactly on the support, or
+    # outside the grid; a window one cell wider than needed adds nothing
+    rel = [np.array(i) * 0.5 + j for i, j in lattice] + [np.array(f) for f in free]
+    if not rel:
+        return
+    x = np.asarray(origin) + np.array(rel) * h
+    vals = np.stack([np.arange(len(x), dtype=np.float64) + 1.0,
+                     np.cos(np.arange(len(x)))], axis=1)
+    support = support_cells * h
+    wsum, acc = kernel_scatter(x, vals, origin, h, dims, support)
+    reach = int(np.ceil(support / h)) + 1
+    for wider in (0, 1):
+        ref_w, ref_a = _scatter_full_window(x, vals, origin, h, dims, support, reach + wider)
+        assert np.array_equal(wsum, ref_w)
+        assert np.array_equal(acc, ref_a)
+
+
+@pytest.mark.parametrize("support, h", [(0.0, 0.1), (-0.1, 0.1), (0.15, 0.0),
+                                        (0.15, -0.1), (float("nan"), 0.1)])
+def test_scatter_rejects_non_positive_support_or_cell(support, h):
+    x = np.array([[0.2, 0.2, 0.2]])
+    with pytest.raises(ValueError, match="positive"):
+        kernel_scatter(x, x, (0.0, 0.0, 0.0), h, (4, 4, 4), support)
