@@ -27,7 +27,7 @@ from .flip import (SceneSpec, SimFrame, SimParams, FlipSolver,  # noqa: E402
 from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF,  # noqa: E402
                       alignment_penalty, apply_deformation, build_system,
                       complex_cells, feature_points, flow_interpolate,
-                      solution_fields, solve_flow)
+                      solution_fields, solve_flow, stack_flow)
 from .net import (DisplacementNet, FeatureSet, LevelConfig, NetworkConfig,  # noqa: E402
                   TrainingSample, loss_up, loss_gradients, train)
 from .inference import (InferenceConfig, infer_frame, inject_motion,  # noqa: E402
@@ -54,5 +54,5 @@ __all__ = [
     "make_training_samples", "match_nearest", "neighborhood_weights",
     "pass_noise_curve", "resample_narrow_band", "resample_of_to_mac",
     "sample_trilinear", "sdf_from_particles", "simulate", "solution_fields",
-    "solve_flow", "surface_roughness", "train", "transfer_to_grid",
+    "solve_flow", "stack_flow", "surface_roughness", "train", "transfer_to_grid",
 ]

@@ -29,8 +29,7 @@ from .grids import GridDesc
 from .inference import InferenceConfig, infer_frame
 from .metrics import epe, flow_accuracy
 from .net import DisplacementNet, NetworkConfig, train as train_net
-from .optflow import FlowParams, SpaceTimeSDF, build_system, alignment_penalty, \
-    solution_fields, solve_flow
+from .optflow import FlowParams, SpaceTimeSDF, stack_flow
 from .sdf import sdf_from_particles
 
 
@@ -79,25 +78,17 @@ def _frames_bounds(frames):
 
 def _cmd_solve_flow(args):
     low, high = _paired_frame_dirs(args.low, args.high, "solving")
-    if args.dims:
-        dims = tuple(int(x) for x in args.dims.split(","))
-    else:
-        dims = (32, 32, 32)
     lo1, hi1 = _frames_bounds(low)
     lo2, hi2 = _frames_bounds(high)
     lo = np.minimum(lo1, lo2)
     hi = np.maximum(hi1, hi2)
-    cell = float(np.max(hi - lo) / (max(dims) - 4))
+    # two cells of margin on each side of the frames along every axis
+    cell = float(np.max((hi - lo) / (np.asarray(args.dims) - 4)))
     origin = lo - 2 * cell
-    desc = GridDesc(tuple(origin), cell, dims)
-    radius = 0.75 * cell
-    params = FlowParams()
-    src = SpaceTimeSDF([sdf_from_particles(p, desc, radius) for p in low], dt=1.0)
-    dst = SpaceTimeSDF([sdf_from_particles(p, desc, radius) for p in high], dt=1.0)
-    penalty = None if args.no_align else alignment_penalty(src, dst, params)
-    a_mat, b, _ = build_system(dst, src, penalty, params)
-    u, info = solve_flow(a_mat, b, params)
-    fields = solution_fields(u, src)
+    desc = GridDesc(tuple(origin), cell, args.dims)
+    src = SpaceTimeSDF([sdf_from_particles(p, desc) for p in low], dt=1.0)
+    dst = SpaceTimeSDF([sdf_from_particles(p, desc) for p in high], dt=1.0)
+    fields, info = stack_flow(src, dst, FlowParams(), align=not args.no_align)
     if len(fields) == 1:
         uio.save_grid(args.out, fields[0])
         written = [args.out]
@@ -112,6 +103,18 @@ def _cmd_solve_flow(args):
     print(f"flow solve {status} after {info.iterations} iterations "
           f"(residual {info.residual:.2e}); wrote {', '.join(written)}")
     return 0 if info.converged else 1
+
+
+def _grid_dims(text: str) -> tuple[int, int, int]:
+    """argparse type of --dims: three integers, each at least 5."""
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 3 or min(dims) < 5:
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated integers >= 5, got {text!r}")
+    return dims
 
 
 def _cmd_train(args):
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-align", action="store_true")
-    p.add_argument("--dims", default="")
+    p.add_argument("--dims", type=_grid_dims, default="32,32,32")
     p.set_defaults(fn=_cmd_solve_flow)
 
     p = sub.add_parser("train", help="train the displacement network")

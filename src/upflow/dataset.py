@@ -15,13 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CGNotConverged, SolverDiverged
+from .errors import SolverDiverged
 from .flip import SceneSpec, SimFrame, SimParams, simulate
 from .grids import GridDesc, sample_trilinear
 from .net import TrainingSample
-from .optflow import (FlowParams, SpaceTimeSDF, alignment_penalty, build_system,
-                      solution_fields, solve_flow)
-from .particles import ParticleSet
+from .optflow import FlowParams, SpaceTimeSDF, displace_particles, stack_flow
 from .sdf import sdf_from_particles
 
 
@@ -98,28 +96,8 @@ def gen_dataset(theta: ParamMatrix, sim_low: SimParams, sim_high: SimParams,
     return manifest
 
 
-def _track_stack(frames: list[SimFrame], desc: GridDesc, radius: float,
-                 dt: float) -> SpaceTimeSDF:
-    grids = [sdf_from_particles(f.particles, desc, radius) for f in frames]
-    return SpaceTimeSDF(grids, dt=dt)
-
-
-def _solve_stack(src: SpaceTimeSDF, dst: SpaceTimeSDF, params: FlowParams,
-                 what: str, align: bool = True):
-    """Per-frame flow fields from `src` to `dst`; `what` names the solve in
-    the CGNotConverged raised when it runs out of iterations."""
-    penalty = alignment_penalty(src, dst, params) if align else None
-    a_mat, b, _ = build_system(dst, src, penalty, params)
-    u, info = solve_flow(a_mat, b, params)
-    if not info.converged:
-        raise CGNotConverged(
-            f"{what}: flow CG stalled at relative residual {info.residual:.3e} "
-            f"after {info.iterations} iterations")
-    return solution_fields(u, src)
-
-
-def _sdf_radius(params: SimParams) -> float:
-    return 0.75 * params.domain.cell_size
+def _track_stack(frames: list[SimFrame], desc: GridDesc, dt: float) -> SpaceTimeSDF:
+    return SpaceTimeSDF([sdf_from_particles(f.particles, desc) for f in frames], dt=dt)
 
 
 def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
@@ -158,10 +136,9 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
             for k in (i, j):
                 if (k, track) not in stacks:
                     stacks[k, track] = _track_stack(getattr(originals[k], f"{track}_frames"),
-                                                    params.domain, _sdf_radius(params),
-                                                    params.dt)
-            fields = _solve_stack(stacks[i, track], stacks[j, track], flow_params,
-                                  f"pair {i} -> pair {j}, {track} track")
+                                                    params.domain, params.dt)
+            fields, info = stack_flow(stacks[i, track], stacks[j, track], flow_params)
+            info.require_converged(f"pair {i} -> pair {j}, {track} track")
             morphed_tracks[track] = (getattr(pair, f"{track}_frames"), fields)
         for k in (i, j):
             uses[k] -= 1
@@ -171,14 +148,9 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
             new_tracks = {}
             for track in ("low", "high"):
                 src_frames, fields = morphed_tracks[track]
-                frames = []
-                for f, fld in zip(src_frames, fields):
-                    disp = sample_trilinear(fld, f.particles.positions) if f.particles.count \
-                        else np.zeros((0, 3))
-                    moved = ParticleSet(f.particles.positions + alpha * disp,
-                                        f.particles.velocities.copy())
-                    frames.append(SimFrame(moved, f.velocity.copy()))
-                new_tracks[track] = frames
+                new_tracks[track] = [
+                    SimFrame(displace_particles(f.particles, fld, alpha), f.velocity.copy())
+                    for f, fld in zip(src_frames, fields)]
             out.pairs.append(PairRecord(pair.scene, new_tracks["low"],
                                         new_tracks["high"], pair.seed,
                                         augmented=True, source_pair_ids=(i, j)))
@@ -186,29 +158,25 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
 
 
 def make_training_samples(manifest: DatasetManifest,
-                          flow_params: FlowParams | None = None,
-                          flow_desc: GridDesc | None = None,
-                          align: bool = True) -> list[TrainingSample]:
+                          flow_params: FlowParams | None = None) -> list[TrainingSample]:
     """Low-to-high flow targets for every frame of every pair.
 
-    Both SDF stacks are built on one shared grid (`flow_desc`, defaulting to
-    the low track's grid); the flow field is solved once per pair over the
-    whole stack, sampled at the low particles as the ground-truth
-    displacement, and its per-particle normalized magnitude becomes the
-    adaptive loss weight (zero field -> all-zero weights). Raises
+    Both SDF stacks are built on the low track's grid; the flow field is
+    solved once per pair over the whole stack, sampled at the low particles
+    as the ground-truth displacement, and its per-particle normalized
+    magnitude becomes the adaptive loss weight (zero field -> all-zero
+    weights). Raises
     CGNotConverged, naming the pair, when a flow solve runs out of
     iterations.
     """
     if flow_params is None:
         flow_params = FlowParams()
-    desc = flow_desc if flow_desc is not None else manifest.sim_low.domain
-    radius = 0.75 * desc.cell_size
+    desc, dt = manifest.sim_low.domain, manifest.sim_low.dt
     samples = []
     for i, pair in enumerate(manifest.pairs):
-        low_st = _track_stack(pair.low_frames, desc, radius, manifest.sim_low.dt)
-        high_st = _track_stack(pair.high_frames, desc, radius, manifest.sim_low.dt)
-        fields = _solve_stack(low_st, high_st, flow_params,
-                              f"pair {i}, low -> high track", align=align)
+        fields, info = stack_flow(_track_stack(pair.low_frames, desc, dt),
+                                  _track_stack(pair.high_frames, desc, dt), flow_params)
+        info.require_converged(f"pair {i}, low -> high track")
         for fi, (f, fld) in enumerate(zip(pair.low_frames, fields)):
             if f.particles.count == 0:
                 continue

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverDiverged
-from .grids import GridDesc, MACGrid, ScalarGrid, extrapolate_mac, pcg, sample_trilinear
+from .grids import (FACE_OFFSETS, GridDesc, MACGrid, ScalarGrid, extrapolate_mac, pcg,
+                    sample_trilinear)
 from .kernels import kernel_k
 from .particles import ParticleSet, advect_particles, hash_uniform, radius_pairs
 
@@ -151,9 +152,6 @@ def _scatter_component(pos, val, origin, h, shape, offset):
     return out, wsum > 0.0
 
 
-_FACE_OFFSETS = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
-
-
 class FlipSolver:
     """Steppable FLIP solver for a single scene/resolution combination."""
 
@@ -272,7 +270,7 @@ class FlipSolver:
         g = MACGrid.zeros(self.desc)
         origin = np.asarray(self.desc.origin)
         h = self.desc.cell_size
-        for c, (comp, off) in enumerate(zip(g.components(), _FACE_OFFSETS)):
+        for c, (comp, off) in enumerate(zip(g.components(), FACE_OFFSETS)):
             vals, _ = _scatter_component(self.particles.positions,
                                          self.particles.velocities[:, c],
                                          origin, h, comp.shape, off)

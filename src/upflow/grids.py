@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import GridMismatch
 
+# MAC layout: sample i of the u, v or w component sits at
+# origin + (i + FACE_OFFSETS[component]) * cell_size
+FACE_OFFSETS = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
+
 
 @dataclass(frozen=True)
 class GridDesc:
@@ -209,8 +213,7 @@ def sample_trilinear(grid, x: np.ndarray):
     elif isinstance(grid, MACGrid):
         base = (pts - origin) / h
         out = np.empty((len(pts), 3))
-        offsets = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
-        for c, (comp, off) in enumerate(zip(grid.components(), offsets)):
+        for c, (comp, off) in enumerate(zip(grid.components(), FACE_OFFSETS)):
             out[:, c] = _trilinear_gather(comp, base - np.asarray(off))
     else:
         raise TypeError(f"cannot sample object of type {type(grid)!r}")

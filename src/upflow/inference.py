@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import GridMismatch
 from .flip import resample_narrow_band
-from .grids import DeformationField, GridDesc, MACGrid, ScalarGrid, extrapolate_mac, sample_trilinear
+from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGrid,
+                    extrapolate_mac, sample_trilinear)
 from .kernels import kernel_scatter
 from .net import DisplacementNet
 from .particles import ParticleSet, advect_particles, advect_positions
-from .sdf import sdf_from_particles
+from .sdf import sdf_from_particles, surface_radius
 
 
 @dataclass
@@ -34,7 +35,6 @@ class InferenceConfig:
     passes: int = 3
     depths: tuple[float, ...] = (0.25, 0.5, 0.75)   # band-depth fractions per pass
     r_h: tuple[int, int, int] | None = None          # SDF upscale dims (augmentation)
-    particle_radius: float | None = None             # SDF sphere radius; default 0.75 * cell
     band_target_per_cell: int = 16
     transfer_radius_cells: float = 1.5
     seed: int = 0
@@ -76,8 +76,7 @@ def resample_of_to_mac(u: DeformationField, like: MACGrid) -> MACGrid:
     out = MACGrid.zeros(like.desc)
     h = like.desc.cell_size
     origin = np.asarray(like.desc.origin)
-    offsets = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
-    for c, (comp, off) in enumerate(zip(out.components(), offsets)):
+    for c, (comp, off) in enumerate(zip(out.components(), FACE_OFFSETS)):
         shape = comp.shape
         idx = np.stack(np.meshgrid(*[np.arange(s) for s in shape], indexing="ij"),
                        axis=-1).reshape(-1, 3)
@@ -131,16 +130,15 @@ def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
     Pass p reseeds the narrow band with jitter keyed on p and predicts on the
     particles within depth ``depths[p % len(depths)] * d_b * cell``. With
     ``r_h`` set, the surface band is carved on an SDF built at that finer
-    resolution instead of the velocity grid's.
+    resolution instead of the velocity grid's, with the velocity grid's
+    sphere radius.
     """
     desc = u_mac.desc
-    h = desc.cell_size
-    radius = cfg.particle_radius if cfg.particle_radius is not None else 0.75 * h
-    phi = sdf_from_particles(x, desc, radius)
+    phi = sdf_from_particles(x, desc)
     if cfg.r_h is not None:
         cell_f = float(np.max(desc.extent / np.asarray(cfg.r_h, dtype=np.float64)))
         desc_f = GridDesc(desc.origin, cell_f, tuple(cfg.r_h))
-        band_phi = sdf_from_particles(x, desc_f, radius)
+        band_phi = sdf_from_particles(x, desc_f, surface_radius(desc))
     else:
         band_phi = phi
     upsampled = resample_narrow_band(x, band_phi, cfg.d_b,

@@ -289,19 +289,19 @@ def read_manifest(path: str) -> DatasetManifest:
     for i in range(n):
         sec = cfg[f"pair.{i}"]
         scene = _scene_from_section(sec)
-        low, high = [], []
-        lows = sec["low_frames"].split(",") if sec["low_frames"] else []
-        lvels = sec["low_velocity"].split(",") if sec["low_velocity"] else []
-        for rel, vrel in zip(lows, lvels):
-            low.append(SimFrame(load_particles(os.path.join(base, rel)),
-                                load_grid(os.path.join(base, vrel))))
-        highs = sec["high_frames"].split(",") if sec["high_frames"] else []
-        hvels = sec["high_velocity"].split(",") if sec["high_velocity"] else []
-        for rel, vrel in zip(highs, hvels):
-            high.append(SimFrame(load_particles(os.path.join(base, rel)),
-                                 load_grid(os.path.join(base, vrel))))
+        tracks = {}
+        for track in ("low", "high"):
+            frames = sec[f"{track}_frames"].split(",") if sec[f"{track}_frames"] else []
+            vels = sec[f"{track}_velocity"].split(",") if sec[f"{track}_velocity"] else []
+            if len(frames) != len(vels):
+                raise ValueError(f"{path}: pair {i} lists {len(frames)} {track} frames "
+                                 f"but {len(vels)} {track} velocity grids")
+            tracks[track] = [SimFrame(load_particles(os.path.join(base, rel)),
+                                      load_grid(os.path.join(base, vrel)))
+                             for rel, vrel in zip(frames, vels)]
         src = tuple(int(x) for x in sec["source_pair_ids"].split(",") if x.strip())
-        manifest.pairs.append(PairRecord(scene, low, high, seed=int(sec["seed"]),
+        manifest.pairs.append(PairRecord(scene, tracks["low"], tracks["high"],
+                                         seed=int(sec["seed"]),
                                          augmented=sec["augmented"] == "true",
                                          source_pair_ids=src))
     return manifest
@@ -371,10 +371,15 @@ def parse_net_config(path: str):
         counts = _ints(sec["counts"])
         radii = _floats(sec["radii"])
         widths = [_ints(w) for w in sec["widths"].split(";")]
+        up = tuple(tuple(_ints(w)) for w in sec["upconv_widths"].split(";"))
+        lengths = {"counts": len(counts), "radii": len(radii), "widths": len(widths),
+                   "upconv_widths": len(up)}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"{path}: [net] needs one entry per level in each of "
+                             + ", ".join(f"{k} ({n})" for k, n in lengths.items()))
         max_nb = int(sec.get("max_neighbors", "32"))
         levels = tuple(LevelConfig(c, r, tuple(w), max_nb)
                        for c, r, w in zip(counts, radii, widths))
-        up = tuple(tuple(_ints(w)) for w in sec["upconv_widths"].split(";"))
         net_cfg = NetworkConfig(
             levels=levels,
             embedding_widths=tuple(_ints(sec.get("embedding_widths", "128"))),

@@ -74,10 +74,6 @@ class SpaceTimeSDF:
     def stacked(self) -> np.ndarray:
         return np.stack([f.values for f in self.frames])
 
-    @classmethod
-    def single(cls, grid: ScalarGrid, dt: float = 1.0) -> "SpaceTimeSDF":
-        return cls([grid], dt)
-
 
 @dataclass
 class AlignmentPenalty:
@@ -96,6 +92,14 @@ class FlowSolveInfo:
     converged: bool
     iterations: int
     residual: float
+
+    def require_converged(self, what: str) -> None:
+        """Raise CGNotConverged, naming the solve by `what`, when CG ran out
+        of iterations."""
+        if not self.converged:
+            raise CGNotConverged(
+                f"{what}: flow CG stalled at relative residual {self.residual:.3e} "
+                f"after {self.iterations} iterations")
 
 
 # -- complex-cell topology test -----------------------------------------------
@@ -389,28 +393,41 @@ def apply_deformation(phi: ScalarGrid, u: DeformationField, alpha: float) -> Sca
     return ScalarGrid(phi.desc, vals.reshape(phi.desc.dims))
 
 
-def flow_interpolate(x_src: ParticleSet, x_dst: ParticleSet,
-                     sdf_src: SpaceTimeSDF, sdf_dst: SpaceTimeSDF,
-                     alpha: float, params: FlowParams,
-                     frame_index: int = 0, align: bool = True):
+def displace_particles(x: ParticleSet, u: DeformationField, alpha: float) -> ParticleSet:
+    """Move particles by alpha times the field sampled at their positions;
+    velocities are copied. alpha = 0 or an empty set returns an exact copy."""
+    if alpha == 0.0 or x.count == 0:
+        return x.copy()
+    disp = sample_trilinear(u, x.positions)
+    return ParticleSet(x.positions + alpha * disp, x.velocities.copy())
+
+
+def stack_flow(src: SpaceTimeSDF, dst: SpaceTimeSDF, params: FlowParams,
+               align: bool = True):
+    """Solve the flow carrying the `src` stack onto `dst`: alignment penalty
+    (unless `align` is False), assembly, CG, and the per-frame split.
+
+    Returns (one DeformationField per frame, FlowSolveInfo). An unconverged
+    solve returns its best iterate; callers that must not use it call
+    `info.require_converged`.
+    """
+    penalty = alignment_penalty(src, dst, params) if align else None
+    a_mat, b, _ = build_system(dst, src, penalty, params)
+    u, info = solve_flow(a_mat, b, params)
+    return solution_fields(u, src), info
+
+
+def flow_interpolate(x_src: ParticleSet, sdf_src: SpaceTimeSDF, sdf_dst: SpaceTimeSDF,
+                     alpha: float, params: FlowParams):
     """Solve source->destination flow and displace source particles by alpha*u.
 
-    `x_dst` participates only through the destination surface stack; it is
-    accepted so call sites can hand over a full pair. Returns the displaced
-    particles and the per-frame deformation field used.
+    The particles move through the first frame's field. Returns the
+    displaced particles and that field.
 
     Raises CGNotConverged when the solve runs out of iterations.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    penalty = alignment_penalty(sdf_src, sdf_dst, params) if align else None
-    a_mat, b, _ = build_system(sdf_dst, sdf_src, penalty, params)
-    u_flat, info = solve_flow(a_mat, b, params)
-    if not info.converged:
-        raise CGNotConverged(
-            f"flow CG stalled at relative residual {info.residual:.3e}")
-    field = solution_fields(u_flat, sdf_src)[frame_index]
-    if alpha == 0.0 or x_src.count == 0:
-        return x_src.copy(), field
-    disp = sample_trilinear(field, x_src.positions)
-    return ParticleSet(x_src.positions + alpha * disp, x_src.velocities.copy()), field
+    fields, info = stack_flow(sdf_src, sdf_dst, params)
+    info.require_converged("flow_interpolate")
+    return displace_particles(x_src, fields[0], alpha), fields[0]

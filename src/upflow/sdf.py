@@ -103,17 +103,25 @@ def redistance(phi: np.ndarray, frozen: np.ndarray, h: float,
     return sign * u
 
 
-def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float,
+def surface_radius(desc: GridDesc) -> float:
+    """Particle sphere radius of the liquid surface on `desc`: three quarters
+    of a cell."""
+    return 0.75 * desc.cell_size
+
+
+def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float | None = None,
                        support_scale: float = 2.0) -> ScalarGrid:
     """Signed distance field of the particle liquid on `desc`.
 
     Negative inside, positive outside; values near the zero level set come
     from the blended-sphere construction, values farther out from
-    redistancing. The blend reaches `support_scale * radius` from each
-    particle.
+    redistancing. Spheres have `radius` (default `surface_radius(desc)`),
+    and the blend reaches `support_scale * radius` from each particle.
 
     Requires at least one particle.
     """
+    if radius is None:
+        radius = surface_radius(desc)
     if p.count == 0:
         raise ValueError("cannot build an SDF from an empty particle set")
     if radius <= 0.0:

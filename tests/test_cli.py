@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import upflow
@@ -134,13 +135,42 @@ def test_solve_flow_no_align_flag(pair_frames, tmp_path, monkeypatch):
         calls.append(args)
         return alignment_penalty(*args, **kwargs)
 
-    monkeypatch.setattr("upflow.cli.alignment_penalty", recording)
+    monkeypatch.setattr("upflow.optflow.alignment_penalty", recording)
     args = ["solve-flow", "--low", str(low_frames), "--high", str(high_frames),
             "--dims", "12,12,12"]
     assert main(args + ["--out", str(tmp_path / "field_noalign.ugr"), "--no-align"]) == 0
     assert calls == []
     assert main(args + ["--out", str(tmp_path / "field_align.ugr")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dims", ["4,4,4", "32,32", "12,12,x", "12,12,12,12"])
+def test_solve_flow_rejects_bad_dims(pair_frames, tmp_path, capsys, dims):
+    low_frames, high_frames = pair_frames
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-flow", "--low", str(low_frames), "--high", str(high_frames),
+              "--out", str(tmp_path / "field.ugr"), "--dims", dims])
+    assert exc.value.code == 2
+    assert "--dims" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_solve_flow_grid_covers_frames_on_every_axis(pair_frames, tmp_path):
+    # the frames span the container along x and z; a grid with half as
+    # many cells along y and z must still hold them on those axes
+    low_frames, high_frames = pair_frames
+    assert main(["solve-flow", "--low", str(low_frames), "--high", str(high_frames),
+                 "--out", str(tmp_path / "field.ugr"), "--dims", "16,8,8"]) == 0
+    field = uio.load_grid(str(sorted(tmp_path.iterdir())[0]))
+    desc = field.desc
+    assert desc.dims == (16, 8, 8)
+    pts = [uio.load_particles(str(f)).positions
+           for d in pair_frames for f in sorted(d.glob("*.upf"))]
+    pts = np.concatenate(pts)
+    # every particle at least two cells inside the grid
+    h = desc.cell_size
+    assert np.all(pts >= np.asarray(desc.origin) + 2 * h - 1e-12)
+    assert np.all(pts <= desc.upper - 2 * h + 1e-12)
 
 
 def test_solve_flow_unconverged_exits_nonzero(pair_frames, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from upflow import dataset
 from upflow.dataset import PairRecord
 from upflow.flip import SimFrame
 from upflow.grids import MACGrid, sample_trilinear
+from upflow.optflow import stack_flow
 from upflow.sdf import sdf_from_particles
 
 
@@ -134,12 +135,11 @@ def _augment_building_every_stack(manifest, alphas, seed, flow_params):
         partner = manifest.pairs[j]
         morphed = {}
         for track, params in (("low", manifest.sim_low), ("high", manifest.sim_high)):
-            radius = dataset._sdf_radius(params)
             src_frames = getattr(pair, f"{track}_frames")
-            src = dataset._track_stack(src_frames, params.domain, radius, params.dt)
+            src = dataset._track_stack(src_frames, params.domain, params.dt)
             dst = dataset._track_stack(getattr(partner, f"{track}_frames"),
-                                       params.domain, radius, params.dt)
-            fields = dataset._solve_stack(src, dst, flow_params, track)
+                                       params.domain, params.dt)
+            fields, _ = stack_flow(src, dst, flow_params)
             morphed[track] = (src_frames, fields)
         for alpha in alphas:
             tracks = {}

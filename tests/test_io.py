@@ -1,3 +1,4 @@
+import configparser
 import os
 import struct
 
@@ -234,3 +235,36 @@ lr = 0.005
     assert net_cfg.upconv_widths == ((16,), (12,), (8,))
     assert net_cfg.seed == 3
     assert opts["lr"] == 0.005
+
+
+@pytest.mark.parametrize("track", ["low", "high"])
+def test_manifest_frame_grid_mismatch_raises(tmp_path, track):
+    d = tmp_path / "ds"
+    path = uio.write_manifest(_small_manifest(), str(d))
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    # pair 1 keeps both frames but lists only its first velocity grid
+    key = f"{track}_velocity"
+    cfg["pair.1"][key] = cfg["pair.1"][key].split(",")[0]
+    with open(path, "w") as f:
+        cfg.write(f)
+    with pytest.raises(ValueError, match=rf"manifest\.cfg: pair 1 lists 2 {track} "
+                                         rf"frames but 1 {track} velocity grids"):
+        uio.read_manifest(str(d))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"radii": "0.06,0.12", "upconv_widths": "10;8"},
+    {"counts": "12,6,3,1"},
+    {"widths": "6;8"},
+    {"upconv_widths": "10;8;6;4"},
+])
+def test_net_config_rejects_unequal_level_lists(tmp_path, overrides):
+    entries = {"counts": "12,6,3", "radii": "0.06,0.12,0.24", "widths": "6;8;10",
+               "upconv_widths": "10;8;6", "embedding_radius": "0.24", **overrides}
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("[net]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    key, value = next(iter(overrides.items()))
+    n = len(value.split(";" if "widths" in key else ","))
+    with pytest.raises(ValueError, match=rf"net\.cfg: .*{key} \({n}\)"):
+        uio.parse_net_config(str(cfg))

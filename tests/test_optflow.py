@@ -418,7 +418,7 @@ def test_flow_interpolate_alpha_zero_unchanged():
     x = _blob_particles(np.array([0.4, 0.4, 0.4]), 60, rng)
     src = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
     dst = SpaceTimeSDF([sphere_sdf(desc, (0.45, 0.4, 0.4), 0.15)])
-    out, _ = flow_interpolate(x, x, src, dst, 0.0, FlowParams(beta_s=1.0))
+    out, _ = flow_interpolate(x, src, dst, 0.0, FlowParams(beta_s=1.0))
     assert np.array_equal(out.positions, x.positions)
 
 
@@ -427,7 +427,7 @@ def test_flow_interpolate_identical_surfaces_unchanged():
     rng = np.random.default_rng(9)
     x = _blob_particles(np.array([0.4, 0.4, 0.4]), 60, rng)
     st = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
-    out, field = flow_interpolate(x, x, st, st, 1.0, FlowParams(beta_s=1.0))
+    out, field = flow_interpolate(x, st, st, 1.0, FlowParams(beta_s=1.0))
     assert np.array_equal(out.positions, x.positions)
     assert np.all(field.vectors == 0.0)
 
@@ -444,6 +444,6 @@ def test_flow_interpolate_translated_blob_centroid():
     keep = np.linalg.norm(pts - c0, axis=1) < 0.17
     x = ParticleSet(pts[keep], np.zeros((keep.sum(), 3)))
     params = FlowParams(beta_s=20.0, beta_t=1e-4)
-    out, _ = flow_interpolate(x, x, src, dst, 1.0, params)
+    out, _ = flow_interpolate(x, src, dst, 1.0, params)
     moved = out.positions.mean(axis=0) - x.positions.mean(axis=0)
     assert np.linalg.norm(moved - t) <= 0.1 * np.linalg.norm(t)

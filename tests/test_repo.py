@@ -1,10 +1,14 @@
 """Checks on the source tree itself."""
 
+import importlib
+import importlib.util
 import os
 import shutil
 import subprocess
 
 import pytest
+
+import upflow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,3 +27,31 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_public_names_resolve():
+    missing = [name for name in upflow.__all__ if not hasattr(upflow, name)]
+    assert missing == []
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/tracer.py wraps these functions by name; a rename in the
+    # library would break a traced benchmark run
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    if not os.path.isfile(path):
+        pytest.skip("perfbench/ is not in this tree")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, modname, attr_path, _ in tracer.LAYERS:
+        owner = importlib.import_module(modname)
+        cls_name, _, attr = attr_path.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{modname}.{attr_path}")
+    assert missing == []
