@@ -29,7 +29,7 @@ from .grids import GridDesc
 from .inference import InferenceConfig, infer_frame
 from .metrics import epe, flow_accuracy
 from .net import DisplacementNet, NetworkConfig, train as train_net
-from .optflow import FlowParams, SpaceTimeSDF, stack_flow
+from .optflow import FlowParams, SpaceTimeSDF, blend_weight, stack_flow
 from .sdf import sdf_from_particles
 
 
@@ -41,14 +41,14 @@ def _load_frame_dir(path: str):
 
 
 def _paired_frame_dirs(path_a: str, path_b: str, verb: str):
-    """The frames of two directories, cut to the shorter; a line names the
-    frames left out."""
+    """The frames of two directories and their file names, cut to the
+    shorter; a line names the frames left out."""
     (a, names_a), (b, names_b) = _load_frame_dir(path_a), _load_frame_dir(path_b)
     t = min(len(a), len(b))
     if len(a) != len(b):
         print(f"{path_a} holds {len(a)} frames and {path_b} {len(b)}; {verb} the "
               f"first {t}, leaving out {', '.join(names_a[t:] + names_b[t:])}")
-    return a[:t], b[:t]
+    return (a[:t], names_a[:t]), (b[:t], names_b[:t])
 
 
 def _cmd_gen_dataset(args):
@@ -62,22 +62,33 @@ def _cmd_gen_dataset(args):
 
 def _cmd_augment(args):
     manifest = uio.read_manifest(args.manifest)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    grown = augment_pairs(manifest, alphas, seed=args.seed)
+    grown = augment_pairs(manifest, args.alphas, seed=args.seed)
     base = args.manifest if os.path.isdir(args.manifest) \
         else os.path.dirname(args.manifest)
     path = uio.write_manifest(grown, base)
     print(f"augmented {len(manifest.pairs)} -> {len(grown.pairs)} pairs ({path})")
 
 
+def _blend_weights(text: str) -> list[float]:
+    """argparse type of --alphas: comma-separated weights, each in [0, 1]."""
+    try:
+        return [blend_weight(a) for a in text.split(",") if a.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _frames_bounds(frames):
-    lo = np.min([f.positions.min(axis=0) for f in frames if f.count], axis=0)
-    hi = np.max([f.positions.max(axis=0) for f in frames if f.count], axis=0)
+    lo = np.min([f.positions.min(axis=0) for f in frames], axis=0)
+    hi = np.max([f.positions.max(axis=0) for f in frames], axis=0)
     return lo, hi
 
 
 def _cmd_solve_flow(args):
-    low, high = _paired_frame_dirs(args.low, args.high, "solving")
+    (low, names_low), (high, names_high) = _paired_frame_dirs(args.low, args.high, "solving")
+    for path, frames, names in ((args.low, low, names_low), (args.high, high, names_high)):
+        for f, name in zip(frames, names):
+            if not f.count:
+                raise SystemExit(f"{os.path.join(path, name)} holds no particles to surface")
     lo1, hi1 = _frames_bounds(low)
     lo2, hi2 = _frames_bounds(high)
     lo = np.minimum(lo1, lo2)
@@ -160,7 +171,7 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    pred, ref = _paired_frame_dirs(args.pred, args.ref, "comparing")
+    (pred, _), (ref, _) = _paired_frame_dirs(args.pred, args.ref, "comparing")
     errs, accs = [], []
     for p, r in zip(pred, ref):
         errs.append(epe(p.positions, p.velocities, r.positions, r.velocities))
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="grow a dataset by flow interpolation")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--alphas", default="0.5")
+    p.add_argument("--alphas", type=_blend_weights, default="0.5")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_augment)
 

@@ -19,7 +19,7 @@ from .errors import SolverDiverged
 from .flip import SceneSpec, SimFrame, SimParams, simulate
 from .grids import GridDesc, sample_trilinear
 from .net import TrainingSample
-from .optflow import FlowParams, SpaceTimeSDF, displace_particles, stack_flow
+from .optflow import FlowParams, SpaceTimeSDF, blend_weight, displace_particles, stack_flow
 from .sdf import sdf_from_particles
 
 
@@ -96,6 +96,17 @@ def gen_dataset(theta: ParamMatrix, sim_low: SimParams, sim_high: SimParams,
     return manifest
 
 
+def _require_particles(pairs: list[PairRecord]):
+    """Raise ValueError naming the pair, track and frame of the first frame
+    without particles: it has no surface to solve a flow on."""
+    for i, pair in enumerate(pairs):
+        for track in ("low", "high"):
+            for fi, f in enumerate(getattr(pair, f"{track}_frames")):
+                if f.particles.count == 0:
+                    raise ValueError(f"pair {i}, {track} track, frame {fi} has no "
+                                     "particles to surface")
+
+
 def _track_stack(frames: list[SimFrame], desc: GridDesc, dt: float) -> SpaceTimeSDF:
     return SpaceTimeSDF([sdf_from_particles(f.particles, desc) for f in frames], dt=dt)
 
@@ -107,11 +118,14 @@ def augment(manifest: DatasetManifest, alphas: list[float], seed: int = 0,
     Every original pair is matched with one random partner (seeded); the
     low and high tracks are morphed separately toward the partner's tracks
     at each blend weight. Output size = input * (1 + len(alphas)).
-    Raises CGNotConverged, naming the pair and track, when a flow solve
-    runs out of iterations.
+    Raises ValueError, before any surfacing or solve, for a weight outside
+    [0, 1] or a frame without particles; CGNotConverged, naming the pair and
+    track, when a flow solve runs out of iterations.
     """
+    alphas = [blend_weight(a) for a in alphas]
     if len(manifest.pairs) < 2:
         raise ValueError("augmentation needs at least two pairs")
+    _require_particles(manifest.pairs)
     if flow_params is None:
         flow_params = FlowParams()
     rng = np.random.default_rng(seed)
@@ -165,12 +179,13 @@ def make_training_samples(manifest: DatasetManifest,
     solved once per pair over the whole stack, sampled at the low particles
     as the ground-truth displacement, and its per-particle normalized
     magnitude becomes the adaptive loss weight (zero field -> all-zero
-    weights). Raises
-    CGNotConverged, naming the pair, when a flow solve runs out of
-    iterations.
+    weights). Raises ValueError, naming the pair, track and frame, for a
+    frame without particles, and CGNotConverged, naming the pair, when a
+    flow solve runs out of iterations.
     """
     if flow_params is None:
         flow_params = FlowParams()
+    _require_particles(manifest.pairs)
     desc, dt = manifest.sim_low.domain, manifest.sim_low.dt
     samples = []
     for i, pair in enumerate(manifest.pairs):
@@ -178,8 +193,6 @@ def make_training_samples(manifest: DatasetManifest,
                                   _track_stack(pair.high_frames, desc, dt), flow_params)
         info.require_converged(f"pair {i}, low -> high track")
         for fi, (f, fld) in enumerate(zip(pair.low_frames, fields)):
-            if f.particles.count == 0:
-                continue
             gt = sample_trilinear(fld, f.particles.positions)
             mag = np.linalg.norm(gt, axis=1)
             peak = mag.max()

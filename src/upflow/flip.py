@@ -467,9 +467,12 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     underfull band cells are refilled with jittered seeds (deterministic in
     (seed, frame, cell, slot)); overfull cells are thinned to the target.
     New particles take the kernel-weighted velocity of nearby survivors.
+    Raises ValueError for ``d_b`` or ``target_per_cell`` below 1.
     """
     if d_b < 1:
         raise ValueError(f"d_b must be >= 1, got {d_b}")
+    if target_per_cell < 1:
+        raise ValueError(f"target_per_cell must be >= 1, got {target_per_cell}")
     desc = phi.desc
     h = desc.cell_size
     depth = d_b * h
@@ -486,23 +489,23 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     band = (phi.values <= 0.0) & (phi.values >= -depth)
     need_cells = np.argwhere(band & (counts < target_per_cell))
 
-    new_pos = []
+    added = np.zeros((0, 3))
     if len(need_cells):
         have = counts[need_cells[:, 0], need_cells[:, 1], need_cells[:, 2]]
         cell_ids = ((need_cells[:, 0] * desc.dims[1] + need_cells[:, 1]) * desc.dims[2]
                     + need_cells[:, 2])
-        n_try = 4 * target_per_cell
-        for cell, cid, cnt in zip(need_cells, cell_ids, have):
-            slots = np.arange(n_try)
-            jit = np.stack([hash_uniform(np.full(n_try, seed), np.full(n_try, frame),
-                                         np.full(n_try, cid), slots * 3 + a)
-                            for a in range(3)], axis=-1)
-            cand = np.asarray(desc.origin) + (cell + jit) * h
-            phi_c = sample_trilinear(phi, cand)
-            ok = (phi_c <= 0.0) & (phi_c >= -depth)
-            # skip the first `cnt` valid candidates: re-running the resample on
-            # its own output must not duplicate earlier seeds
-            new_pos.append(cand[ok][cnt:target_per_cell])
+        # 4 x target candidates for every underfull cell at once: (cells, slots, 3)
+        slots = np.arange(4 * target_per_cell)
+        jit = np.stack([hash_uniform(np.int64(seed), np.int64(frame), cell_ids[:, None],
+                                     slots * 3 + a) for a in range(3)], axis=-1)
+        cand = np.asarray(desc.origin) + (need_cells[:, None, :] + jit) * h
+        phi_c = sample_trilinear(phi, cand.reshape(-1, 3)).reshape(len(need_cells), -1)
+        ok = (phi_c <= 0.0) & (phi_c >= -depth)
+        # each cell takes its valid candidates ranked [have, target), in cell
+        # then slot order: skipping the first `have` keeps a re-run of the
+        # resample on its own output from duplicating earlier seeds
+        rank = np.cumsum(ok, axis=1) - 1
+        added = cand[ok & (have[:, None] <= rank) & (rank < target_per_cell)]
 
     # thin overfull cells, keeping the lexicographically smallest positions
     flat = (ci[:, 0] * desc.dims[1] + ci[:, 1]) * desc.dims[2] + ci[:, 2]
@@ -513,21 +516,34 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     keep2 = rank < target_per_cell
     pos, vel = pos[keep2], vel[keep2]
 
-    added = np.concatenate([np.zeros((0, 3))] + new_pos)
     if len(added):
-        avel = np.zeros_like(added)
         r = 2.0 * h
         rows, cols, d2 = radius_pairs(pos, added, r)
-        # each particle sums its neighbours ordered by (cell of side r, index)
-        key = np.floor(pos[cols] / r).astype(np.int64)
-        order = np.lexsort((cols, key[:, 2], key[:, 1], key[:, 0], rows))
-        rows, cols = rows[order], cols[order]
+        # each seed sums its neighbours ordered by (cell of side r, index):
+        # rank the survivors in that order once, then sort the pairs by
+        # (seed, rank), which is the same order as sorting on all five keys
+        key = np.floor(pos / r).astype(np.int64)
+        point_rank = np.empty(len(pos), dtype=np.int64)
+        point_rank[np.lexsort((key[:, 2], key[:, 1], key[:, 0]))] = np.arange(len(pos))
+        order = np.argsort(rows * len(pos) + point_rank[cols])
+        cols = cols[order]
         w = kernel_k(np.sqrt(d2[order]) / r)
-        bounds = np.searchsorted(rows, np.arange(len(added) + 1))
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            tot = w[a:b].sum()
-            if tot > 0:
-                avel[i] = (w[a:b, None] * vel[cols[a:b]]).sum(axis=0) / tot
+        wv = w[:, None] * vel[cols]
+        bounds = np.searchsorted(rows[order], np.arange(len(added) + 1))
+        first, sizes = bounds[:-1], np.diff(bounds)
+        # seeds with the same neighbour count sum as the rows of one block;
+        # each row reduces over its own contiguous axis, in the order a
+        # slice of that length sums in (np.add.reduceat does not keep it)
+        tot = np.zeros(len(added))
+        acc = np.zeros_like(added)
+        for n in np.unique(sizes[sizes > 0]):
+            seeds = np.flatnonzero(sizes == n)
+            idx = first[seeds, None] + np.arange(n)
+            tot[seeds] = w[idx].sum(axis=1)
+            acc[seeds] = wv[idx].sum(axis=1)
+        live = tot > 0
+        avel = np.zeros_like(added)
+        avel[live] = acc[live] / tot[live, None]
         pos = np.concatenate([pos, added])
         vel = np.concatenate([vel, avel])
     return ParticleSet(pos, vel)

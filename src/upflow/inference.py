@@ -42,6 +42,11 @@ class InferenceConfig:
     def __post_init__(self):
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
+        if self.d_b < 1:
+            raise ValueError(f"d_b must be >= 1, got {self.d_b}")
+        if self.band_target_per_cell < 1:
+            raise ValueError("band_target_per_cell must be >= 1, got "
+                             f"{self.band_target_per_cell}")
         if not self.depths or any(not 0.0 < d <= 1.0 for d in self.depths):
             raise ValueError("depths must be non-empty fractions in (0, 1]")
 

@@ -417,6 +417,15 @@ def stack_flow(src: SpaceTimeSDF, dst: SpaceTimeSDF, params: FlowParams,
     return solution_fields(u, src), info
 
 
+def blend_weight(alpha) -> float:
+    """`alpha` as a float, checked to lie in [0, 1]: a weight past either end
+    extrapolates beyond the source or the destination. Raises ValueError."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"blend weight alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
 def flow_interpolate(x_src: ParticleSet, sdf_src: SpaceTimeSDF, sdf_dst: SpaceTimeSDF,
                      alpha: float, params: FlowParams):
     """Solve source->destination flow and displace source particles by alpha*u.
@@ -426,8 +435,7 @@ def flow_interpolate(x_src: ParticleSet, sdf_src: SpaceTimeSDF, sdf_dst: SpaceTi
 
     Raises CGNotConverged when the solve runs out of iterations.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = blend_weight(alpha)
     fields, info = stack_flow(sdf_src, sdf_dst, params)
     info.require_converged("flow_interpolate")
     return displace_particles(x_src, fields[0], alpha), fields[0]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import upflow
-from upflow import FlowParams, LevelConfig, NetworkConfig
+from upflow import FlowParams, LevelConfig, NetworkConfig, ParticleSet
 from upflow.cli import main
 from upflow.net import DisplacementNet
 from upflow.optflow import alignment_penalty
@@ -114,6 +114,18 @@ def test_augment_doubles(workspace, tmp_path):
     assert after.pairs[-1].augmented
 
 
+@pytest.mark.parametrize("alphas", ["1.5", "0.25,1.5", "-0.5"])
+def test_augment_rejects_weights_outside_unit_interval(workspace, tmp_path, capsys, alphas):
+    ds = tmp_path / "dataset"
+    shutil.copytree(workspace[1], ds)
+    with pytest.raises(SystemExit) as exc:
+        main(["augment", "--manifest", str(ds), "--alphas", alphas])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alphas" in err and f"got {float(alphas.split(',')[-1])}" in err
+    assert len(uio.read_manifest(str(ds)).pairs) == 2
+
+
 def test_solve_flow_writes_field(pair_frames, tmp_path):
     low_frames, high_frames = pair_frames
     out = tmp_path / "field.ugr"
@@ -189,6 +201,19 @@ def test_solve_flow_reports_unused_frames(pair_frames, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holds 2 frames" in out and "solving the first 1" in out
     assert "leaving out low_001.upf" in out
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_solve_flow_names_an_empty_frame(pair_frames, tmp_path, side):
+    dirs = {"low": pair_frames[0], "high": pair_frames[1]}
+    dirs[side] = _copy_frames(dirs[side], tmp_path / side, "*.upf")
+    name = f"{side}_001.upf"
+    uio.save_particles(str(dirs[side] / name), ParticleSet.empty())
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-flow", "--low", str(dirs["low"]), "--high", str(dirs["high"]),
+              "--out", str(tmp_path / "field.ugr"), "--dims", "12,12,12"])
+    assert str(dirs[side] / name) in str(exc.value.code)
+    assert not list(tmp_path.glob("field*"))
 
 
 def test_infer_pairs_grids_by_name(workspace, tmp_path):

@@ -247,3 +247,42 @@ def test_augment_unconverged_flow_raises():
     m = _blob_manifest([(0.2, 0.25, 0.25), (0.3, 0.25, 0.25)])
     with pytest.raises(CGNotConverged, match="pair 0 -> pair 1, low track"):
         augment(m, [0.5], flow_params=FlowParams(cg_max_iter=1))
+
+
+def _fail_on_surfacing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("surfaced a track before checking its inputs")
+    monkeypatch.setattr(dataset, "sdf_from_particles", refuse)
+
+
+@pytest.mark.parametrize("alphas", [[1.5], [0.5, -0.5], [float("nan")]])
+def test_augment_rejects_weights_outside_unit_interval(monkeypatch, alphas):
+    # a weight past 1 extrapolates past the partner; the check runs before
+    # any track is surfaced or solved
+    m = _blob_manifest([(0.2, 0.25, 0.25), (0.3, 0.25, 0.25)])
+    _fail_on_surfacing(monkeypatch)
+    bad = next(a for a in alphas if not 0.0 <= a <= 1.0)
+    with pytest.raises(ValueError, match=rf"\[0, 1\], got {bad}"):
+        augment(m, alphas)
+
+
+def _with_empty_frame(m, pair, track, frame):
+    frames = getattr(m.pairs[pair], f"{track}_frames")
+    frames[frame] = SimFrame(ParticleSet.empty(), frames[frame].velocity)
+    return m
+
+
+@pytest.mark.parametrize("track", ["low", "high"])
+def test_augment_names_an_empty_frame(monkeypatch, track):
+    m = _with_empty_frame(_synthetic_manifest(n_pairs=2), 1, track, 1)
+    _fail_on_surfacing(monkeypatch)
+    with pytest.raises(ValueError, match=f"pair 1, {track} track, frame 1 has no particles"):
+        augment(m, [0.5])
+
+
+@pytest.mark.parametrize("track", ["low", "high"])
+def test_training_samples_name_an_empty_frame(monkeypatch, track):
+    m = _with_empty_frame(_synthetic_manifest(n_pairs=2), 1, track, 1)
+    _fail_on_surfacing(monkeypatch)
+    with pytest.raises(ValueError, match=f"pair 1, {track} track, frame 1 has no particles"):
+        make_training_samples(m)

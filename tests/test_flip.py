@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upflow import (FlipSolver, GridDesc, ParticleSet, ScalarGrid, SceneSpec,
                     SimParams, resample_narrow_band, sample_trilinear, simulate)
 from upflow.flip import shape_sdf
 from upflow.kernels import kernel_k
+from upflow.particles import hash_uniform, radius_pairs
 
 
 def still_pool_scene():
@@ -207,3 +209,168 @@ def test_resample_seed_velocities_equal_the_loop():
         assert np.array_equal(out.velocities[:n], vel)
         want = loop_velocity_fill(pts, vel, out.positions[n:], 2 * desc.cell_size)
         assert np.array_equal(out.velocities[n:], want)
+
+
+def loop_resample_narrow_band(p, phi, d_b, target_per_cell=8, seed=0, frame=0):
+    """resample_narrow_band as it was with one loop per underfull cell and
+    one per new seed: the reference the whole-array passes must equal."""
+    if d_b < 1:
+        raise ValueError(f"d_b must be >= 1, got {d_b}")
+    desc = phi.desc
+    h = desc.cell_size
+    depth = d_b * h
+
+    phi_p = sample_trilinear(phi, p.positions) if p.count else np.zeros(0)
+    keep = (phi_p <= 0.0) & (phi_p >= -depth)
+    pos = p.positions[keep]
+    vel = p.velocities[keep]
+
+    ci = desc.cell_index(pos)
+    counts = np.zeros(desc.dims, dtype=np.int64)
+    np.add.at(counts, (ci[:, 0], ci[:, 1], ci[:, 2]), 1)
+
+    band = (phi.values <= 0.0) & (phi.values >= -depth)
+    need_cells = np.argwhere(band & (counts < target_per_cell))
+
+    new_pos = []
+    if len(need_cells):
+        have = counts[need_cells[:, 0], need_cells[:, 1], need_cells[:, 2]]
+        cell_ids = ((need_cells[:, 0] * desc.dims[1] + need_cells[:, 1]) * desc.dims[2]
+                    + need_cells[:, 2])
+        n_try = 4 * target_per_cell
+        for cell, cid, cnt in zip(need_cells, cell_ids, have):
+            slots = np.arange(n_try)
+            jit = np.stack([hash_uniform(np.full(n_try, seed), np.full(n_try, frame),
+                                         np.full(n_try, cid), slots * 3 + a)
+                            for a in range(3)], axis=-1)
+            cand = np.asarray(desc.origin) + (cell + jit) * h
+            phi_c = sample_trilinear(phi, cand)
+            ok = (phi_c <= 0.0) & (phi_c >= -depth)
+            # skip the first `cnt` valid candidates: re-running the resample on
+            # its own output must not duplicate earlier seeds
+            new_pos.append(cand[ok][cnt:target_per_cell])
+
+    # thin overfull cells, keeping the lexicographically smallest positions
+    flat = (ci[:, 0] * desc.dims[1] + ci[:, 1]) * desc.dims[2] + ci[:, 2]
+    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], flat))
+    flat_sorted = flat[order]
+    rank = np.empty(len(pos), dtype=np.int64)
+    rank[order] = np.arange(len(pos)) - np.searchsorted(flat_sorted, flat_sorted)
+    keep2 = rank < target_per_cell
+    pos, vel = pos[keep2], vel[keep2]
+
+    added = np.concatenate([np.zeros((0, 3))] + new_pos)
+    if len(added):
+        avel = np.zeros_like(added)
+        r = 2.0 * h
+        rows, cols, d2 = radius_pairs(pos, added, r)
+        # each particle sums its neighbours ordered by (cell of side r, index)
+        key = np.floor(pos[cols] / r).astype(np.int64)
+        order = np.lexsort((cols, key[:, 2], key[:, 1], key[:, 0], rows))
+        rows, cols = rows[order], cols[order]
+        w = kernel_k(np.sqrt(d2[order]) / r)
+        bounds = np.searchsorted(rows, np.arange(len(added) + 1))
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            tot = w[a:b].sum()
+            if tot > 0:
+                avel[i] = (w[a:b, None] * vel[cols[a:b]]).sum(axis=0) / tot
+        pos = np.concatenate([pos, added])
+        vel = np.concatenate([vel, avel])
+    return ParticleSet(pos, vel)
+
+
+def _assert_resample_equals_the_loop(p, phi, d_b, target, seed=0, frame=0):
+    got = resample_narrow_band(p, phi, d_b, target, seed=seed, frame=frame)
+    want = loop_resample_narrow_band(p, phi, d_b, target, seed=seed, frame=frame)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.velocities, want.velocities)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(2, 6)] * 3), level=st.floats(0.05, 0.6),
+       noise=st.sampled_from([0.0, 0.05, 0.3]), n=st.integers(0, 120),
+       crowd=st.integers(0, 40), d_b=st.integers(1, 3), target=st.integers(1, 10),
+       seed=st.integers(-2 ** 31, 2 ** 31), frame=st.integers(0, 5),
+       data_seed=st.integers(0, 2 ** 16))
+def test_resample_equals_the_loop(dims, level, noise, n, crowd, d_b, target, seed,
+                                  frame, data_seed):
+    # a noisy surface at y = level gives band cells whose candidates all miss
+    # the band; `crowd` particles in one cell overfill it; sparse survivors
+    # leave seeds with no neighbour within 2h
+    rng = np.random.default_rng(data_seed)
+    desc = GridDesc((0, 0, 0), 0.1, dims)
+    phi = ScalarGrid(desc, desc.cell_centers()[..., 1] - level
+                     + noise * rng.normal(size=dims))
+    extent = 0.1 * np.asarray(dims)
+    pts = np.concatenate([rng.uniform(0, extent, size=(n, 3)),
+                          0.05 + 0.02 * rng.uniform(size=(crowd, 3))])
+    pts = np.concatenate([pts, pts[:3]])              # coincident particles
+    p = ParticleSet(pts, rng.normal(size=pts.shape))
+    once = _assert_resample_equals_the_loop(p, phi, d_b, target, seed, frame)
+    _assert_resample_equals_the_loop(once, phi, d_b, target, seed, frame + 1)
+
+
+def test_resample_equals_the_loop_on_an_empty_set():
+    desc = GridDesc((0, 0, 0), 0.1, (5, 5, 5))
+    phi = ScalarGrid(desc, desc.cell_centers()[..., 1] - 0.35)
+    for seed, frame in ((0, 0), (3, 1), (-7, 4)):
+        out = _assert_resample_equals_the_loop(ParticleSet.empty(), phi, 2, 4, seed, frame)
+        assert out.count > 0 and not out.velocities.any()
+
+
+def test_resample_equals_the_loop_on_full_and_candidate_free_cells():
+    desc = GridDesc((0, 0, 0), 0.1, (5, 5, 5))
+    values = np.full(desc.dims, -0.05)
+    # cell (1, 1, 1) sits on the band's floor in a much deeper neighbourhood,
+    # so every jittered candidate in it samples below the band
+    values[0:3, 0:3, 0:3] = -10.0
+    values[1, 1, 1] = -0.2
+    phi = ScalarGrid(desc, values)
+    crowd = 0.31 + 0.008 * np.arange(9)[:, None] * np.ones(3)     # 9 in cell (3, 3, 3)
+    far = np.array([[0.45, 0.05, 0.45]])
+    pts = np.concatenate([crowd, far])
+    p = ParticleSet(pts, np.arange(pts.size, dtype=np.float64).reshape(-1, 3))
+    out = _assert_resample_equals_the_loop(p, phi, 2, 4, seed=5, frame=2)
+    ci = desc.cell_index(out.positions)
+    assert not np.all(ci == (1, 1, 1), axis=1).any()
+    assert np.all(ci == (3, 3, 3), axis=1).sum() == 4
+    # seeds with no survivor within 2h keep a zero velocity
+    survivors = out.positions[:5]
+    seeds = out.positions[5:]
+    d = np.linalg.norm(seeds[:, None] - survivors[None], axis=2).min(axis=1)
+    lonely = d > 2 * desc.cell_size
+    assert lonely.any() and not out.velocities[5:][lonely].any()
+    assert out.velocities[5:][~lonely].any()
+
+
+def test_resample_draws_candidates_once_per_band(monkeypatch):
+    import upflow.flip as flip
+
+    calls = {"hash_uniform": 0, "sample_trilinear": 0}
+
+    def counting(name):
+        fn = getattr(flip, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(flip, name, counting(name))
+    desc = GridDesc((0, 0, 0), 0.1, (6, 6, 6))
+    phi = ScalarGrid(desc, np.full(desc.dims, -0.05))
+    pts = np.array([[0.35, 0.35, 0.35]])
+    out = flip.resample_narrow_band(ParticleSet(pts, np.ones((1, 3))), phi, d_b=1,
+                                    target_per_cell=3)
+    assert out.count == 6 ** 3 * 3                      # 216 underfull cells filled
+    assert calls["hash_uniform"] <= 3 and calls["sample_trilinear"] <= 2
+
+
+@pytest.mark.parametrize("target", [0, -3])
+def test_resample_rejects_non_positive_target(target):
+    desc, phi = _band_fixture()
+    p = ParticleSet(np.array([[0.5, 0.5, 0.5]]), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="target_per_cell"):
+        resample_narrow_band(p, phi, d_b=2, target_per_cell=target)

@@ -139,6 +139,14 @@ def test_inject_mismatch(desc):
 
 # -- full frame --------------------------------------------------------------------
 
+@pytest.mark.parametrize("knobs", [dict(band_target_per_cell=0), dict(band_target_per_cell=-3),
+                                   dict(d_b=0), dict(band_target_per_cell=0, d_b=0)])
+def test_config_rejects_an_empty_band(knobs):
+    # either knob below 1 used to carve no band and up-res every frame to nothing
+    with pytest.raises(ValueError, match="d_b|band_target_per_cell"):
+        InferenceConfig(**knobs)
+
+
 def test_infer_identity_with_zero_net_and_zero_velocity(desc):
     x = blob((0.5, 0.5, 0.5), 300, 1)
     model = tiny_model(zero=True)

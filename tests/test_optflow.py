@@ -422,6 +422,19 @@ def test_flow_interpolate_alpha_zero_unchanged():
     assert np.array_equal(out.positions, x.positions)
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
+def test_flow_interpolate_rejects_weights_outside_unit_interval(monkeypatch, alpha):
+    desc = GridDesc((0, 0, 0), 0.05, (16, 16, 16))
+    x = _blob_particles(np.array([0.4, 0.4, 0.4]), 10, np.random.default_rng(8))
+    st = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before checking the weight")
+    monkeypatch.setattr("upflow.optflow.stack_flow", refuse)
+    with pytest.raises(ValueError, match=rf"\[0, 1\], got {alpha}"):
+        flow_interpolate(x, st, st, alpha, FlowParams())
+
+
 def test_flow_interpolate_identical_surfaces_unchanged():
     desc = GridDesc((0, 0, 0), 0.05, (16, 16, 16))
     rng = np.random.default_rng(9)
