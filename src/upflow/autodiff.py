@@ -1,8 +1,9 @@
 """Tape-based reverse-mode differentiation on float64 numpy arrays.
 
-Only the handful of operations the displacement network needs are provided.
-Backward rules are exact; the masked max routes its gradient to the argmax
-entry, with ties resolved toward the lowest index. All reductions use
+Only the handful of operations the displacement network needs are provided,
+plus `custom`, a node whose backward is written by hand (the network's fused
+layers). Backward rules are exact; the masked max routes its gradient to the
+argmax entry, with ties resolved toward the lowest index. All reductions use
 numpy's fixed left-to-right accumulation, so results are reproducible
 bit-for-bit for identical inputs.
 """
@@ -135,15 +136,7 @@ class Tensor:
                 other._accumulate(self.value.T @ g)
         return Tensor(out_val, (self, other), bw)
 
-    # -- shaping ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        src_shape = self.shape
-        out_val = self.value.reshape(*shape)
-
-        def bw(g):
-            self._accumulate(g.reshape(src_shape))
-        return Tensor(out_val, (self,), bw)
+    # -- indexing --------------------------------------------------------
 
     def gather(self, index: np.ndarray):
         """Row gather x[index]; backward scatter-adds into the source rows."""
@@ -216,19 +209,17 @@ def parameter(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_val = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
+def custom(value, parents, backward) -> Tensor:
+    """A node whose backward is written by hand: `backward(g)` returns one
+    gradient, or None, per parent. Lets a whole layer be a single node that
+    keeps only what its own backward reads."""
+    parents = tuple(parents)
 
     def bw(g):
-        for t, a, b in zip(tensors, bounds[:-1], bounds[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(a, b)
-                t._accumulate(g[tuple(sl)])
-    return Tensor(out_val, tuple(tensors), bw)
+        for p, gp in zip(parents, backward(g)):
+            if gp is not None and p.requires_grad:
+                p._accumulate(gp)
+    return Tensor(value, parents, bw)
 
 
 def masked_max(x: Tensor, valid: np.ndarray) -> Tensor:
@@ -249,14 +240,4 @@ def masked_max(x: Tensor, valid: np.ndarray) -> Tensor:
         gg = np.where(any_valid[:, None], g, 0.0)
         np.add.at(acc, (rows, arg, chans), gg)
         x._accumulate(acc)
-    return Tensor(out_val, (x,), bw)
-
-
-def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
-    """Contraction out[i, c] = sum_k weights[i, k] * x[i, k, c] with constant
-    weights (geometry is not differentiated)."""
-    out_val = np.einsum("ik,ikc->ic", weights, x.value)
-
-    def bw(g):
-        x._accumulate(weights[:, :, None] * g[:, None, :])
     return Tensor(out_val, (x,), bw)

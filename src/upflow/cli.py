@@ -171,12 +171,16 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    (pred, _), (ref, _) = _paired_frame_dirs(args.pred, args.ref, "comparing")
+    (pred, names_p), (ref, names_r) = _paired_frame_dirs(args.pred, args.ref, "comparing")
     errs, accs = [], []
-    for p, r in zip(pred, ref):
-        errs.append(epe(p.positions, p.velocities, r.positions, r.velocities))
-        accs.append(flow_accuracy(p.positions, p.velocities, r.positions,
-                                  r.velocities, threshold=args.threshold))
+    for p, r, name_p, name_r in zip(pred, ref, names_p, names_r):
+        try:
+            errs.append(epe(p.positions, p.velocities, r.positions, r.velocities))
+            accs.append(flow_accuracy(p.positions, p.velocities, r.positions,
+                                      r.velocities, threshold=args.threshold))
+        except ValueError as exc:
+            raise SystemExit(f"{os.path.join(args.pred, name_p)} against "
+                             f"{os.path.join(args.ref, name_r)}: {exc}") from exc
     for i, (e, a) in enumerate(zip(errs, accs)):
         print(f"frame {i:03d}: epe {e:.6f}  flow-accuracy {a:.4f}")
     print(f"mean: epe {np.mean(errs):.6f}  flow-accuracy {np.mean(accs):.4f}")

@@ -380,14 +380,17 @@ def parse_net_config(path: str):
         max_nb = int(sec.get("max_neighbors", "32"))
         levels = tuple(LevelConfig(c, r, tuple(w), max_nb)
                        for c, r, w in zip(counts, radii, widths))
-        net_cfg = NetworkConfig(
-            levels=levels,
-            embedding_widths=tuple(_ints(sec.get("embedding_widths", "128"))),
-            embedding_radius=float(sec["embedding_radius"]),
-            smoothing_convs=int(sec.get("smoothing_convs", "2")),
-            upconv_widths=up,
-            seed=int(sec.get("seed", "0")),
-        )
+        try:
+            net_cfg = NetworkConfig(
+                levels=levels,
+                embedding_widths=tuple(_ints(sec.get("embedding_widths", "128"))),
+                embedding_radius=float(sec["embedding_radius"]),
+                smoothing_convs=int(sec.get("smoothing_convs", "2")),
+                upconv_widths=up,
+                seed=int(sec.get("seed", "0")),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: [net] {exc}") from exc
     train_opts = {"lr": 1e-3, "val_fraction": 0.0}
     if cfg.has_section("train"):
         sec = cfg["train"]

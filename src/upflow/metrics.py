@@ -2,7 +2,8 @@
 
 Predicted and reference clouds rarely share particle counts, so each
 reference particle is matched to its nearest predicted particle before the
-displacement vectors are compared.
+displacement vectors are compared. An empty reference or predicted set
+raises ValueError: a mean over no particle has no value.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ def match_nearest(pred_positions: np.ndarray, ref_positions: np.ndarray) -> np.n
     return nearest_points(pred_positions, ref_positions)
 
 
+def _reference(ref_displacements) -> np.ndarray:
+    """The reference displacements as (n, 3); a mean over no reference
+    particle has no value, so an empty set raises."""
+    ref = np.asarray(ref_displacements, dtype=np.float64).reshape(-1, 3)
+    if len(ref) == 0:
+        raise ValueError("cannot score against an empty reference set")
+    return ref
+
+
 def epe(pred_positions, pred_displacements, ref_positions, ref_displacements,
         exclude_static: bool = False, static_threshold: float = 1e-8) -> float:
     """Mean L2 distance between matched displacement vectors.
@@ -30,7 +40,7 @@ def epe(pred_positions, pred_displacements, ref_positions, ref_displacements,
     magnitude is at most `static_threshold` are left out of the mean.
     """
     pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = np.asarray(ref_displacements, dtype=np.float64).reshape(-1, 3)
+    ref_displacements = _reference(ref_displacements)
     keep = np.ones(len(ref_displacements), dtype=bool)
     if exclude_static:
         keep = np.linalg.norm(ref_displacements, axis=1) > static_threshold
@@ -46,7 +56,7 @@ def flow_accuracy(pred_positions, pred_displacements, ref_positions,
                   eps: float = 0.001) -> float:
     """Fraction of matched displacements with error within threshold + eps."""
     pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = np.asarray(ref_displacements, dtype=np.float64).reshape(-1, 3)
+    ref_displacements = _reference(ref_displacements)
     m = match_nearest(pred_positions, ref_positions)
     err = np.linalg.norm(pred_displacements[m] - ref_displacements, axis=1)
     return float(np.mean(err <= threshold + eps))

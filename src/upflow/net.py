@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, masked_max, parameter, weighted_sum
+from .autodiff import Tensor, as_tensor, custom, parameter
+from .autodiff import masked_max  # noqa: F401  (re-exported for callers of net)
 from .errors import CenterMismatch, LengthMismatch, NonFiniteLoss
 from .kernels import kernel_k
 from .particles import ParticleSet, nearest_points, radius_pairs
@@ -38,6 +39,18 @@ class LevelConfig:
     max_neighbors: int = 32
 
 
+def _check_widths(name: str, widths):
+    """Every MLP has at least one layer, and every layer a feature."""
+    if len(widths) == 0 or any(w < 1 for w in widths):
+        raise ValueError(f"{name} must be a non-empty list of widths >= 1, "
+                         f"got {tuple(widths)}")
+
+
+def _check_radius(name: str, radius: float):
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {radius}")
+
+
 @dataclass
 class NetworkConfig:
     """Layer counts, radii, and MLP widths of the displacement network."""
@@ -52,15 +65,25 @@ class NetworkConfig:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("at least one downsampling level is required")
+        for i, lv in enumerate(self.levels):
+            _check_widths(f"levels[{i}].widths", lv.widths)
+            _check_radius(f"levels[{i}].radius", lv.radius)
+            for name in ("count", "max_neighbors"):
+                if getattr(lv, name) < 1:
+                    raise ValueError(f"levels[{i}].{name} must be >= 1, "
+                                     f"got {getattr(lv, name)}")
         for a, b in zip(self.levels[:-1], self.levels[1:]):
             if not (2 * b.count <= a.count or a.count == b.count == 1):
                 raise ValueError(
                     f"level counts must at least halve: {a.count} -> {b.count}")
-        for lv in self.levels:
-            if any(w < 1 for w in lv.widths):
-                raise ValueError("mlp widths must be >= 1")
+        _check_widths("embedding_widths", self.embedding_widths)
+        _check_radius("embedding_radius", self.embedding_radius)
+        if self.smoothing_convs < 0:
+            raise ValueError(f"smoothing_convs must be >= 0, got {self.smoothing_convs}")
         if len(self.upconv_widths) != len(self.levels):
             raise ValueError("need one upconv width tuple per level")
+        for j, widths in enumerate(self.upconv_widths):
+            _check_widths(f"upconv_widths[{j}]", widths)
 
     @classmethod
     def default(cls, n_particles: int, particle_separation: float,
@@ -247,26 +270,6 @@ def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, valid: np.ndarray | None,
     return norm * gamma + beta
 
 
-def _mlp(x: Tensor, params: dict, prefix: str, valid: np.ndarray | None = None,
-         stat_order: np.ndarray | None = None) -> Tensor:
-    """Shared nonlinear map h: (Linear -> BatchNorm -> ReLU) per layer of
-    `prefix` in `params`."""
-    ell = 0
-    while f"{prefix}.l{ell}.W" in params:
-        w = params[f"{prefix}.l{ell}.W"]
-        b = params[f"{prefix}.l{ell}.b"]
-        if x.value.ndim == 3:
-            n, k, c = x.value.shape
-            h = (x.reshape(n * k, c) @ w).reshape(n, k, w.value.shape[1]) + b
-        else:
-            h = x @ w + b
-        h = _batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
-                       params[f"{prefix}.l{ell}.beta"], valid, stat_order)
-        x = h.relu()
-        ell += 1
-    return x
-
-
 # -- layer geometry: tape-free, from positions alone -----------------------------
 
 @dataclass
@@ -322,31 +325,174 @@ def up_geometry(coarse: np.ndarray, fine: np.ndarray, radius: float, max_neighbo
     return idx, w / wsum[:, None], lexical_order(fine)
 
 
+def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `vals` (m, C) into rows `idx` (m,) of an (n, C) array,
+    in row order (as `np.add.at` would), through one `np.bincount`."""
+    c = vals.shape[1]
+    flat = (idx[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(flat, weights=vals.ravel(), minlength=n * c).reshape(n, c)
+
+
+def _layers(params: dict, prefix: str):
+    """(W, b, gamma, beta) of each MLP layer of `prefix` in `params`."""
+    out = []
+    while f"{prefix}.l{len(out)}.W" in params:
+        out.append(tuple(params[f"{prefix}.l{len(out)}.{k}"]
+                         for k in ("W", "b", "gamma", "beta")))
+    return out
+
+
+def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
+                 stat_order: np.ndarray | None):
+    """Shared nonlinear map h on plain arrays: (Linear -> BatchNorm -> ReLU)
+    per layer, with `_batchnorm`'s statistics and the values of the tape's
+    numpy operations, so outputs are bit-identical to a tape-built MLP.
+
+    Keeps for `_mlp_backward` only the rows that reach the output (the valid
+    slots of a 3D input, every row of a 2D one): each layer's input, centred
+    values and ReLU mask there, and the per-channel std."""
+    if valid is None:
+        def keep(a):
+            return a
+    else:
+        mask = valid[:, :, None].astype(np.float64)
+        count = float(valid.sum())
+        kept = np.flatnonzero(valid)
+
+        def keep(a):
+            return a.reshape(-1, a.shape[-1])[kept]
+    saved = []
+    for w, b, gamma, beta in layers:
+        if x.ndim == 3:
+            n, k, c = x.shape
+            h = (x.reshape(n * k, c) @ w.value).reshape(n, k, w.value.shape[1])
+        else:
+            h = x @ w.value
+        h += b.value
+        if valid is None:
+            hs = h[stat_order]
+            mean = hs.sum(axis=0) * (1.0 / len(hs))
+            hs -= mean
+            var = (hs * hs).sum(axis=0) * (1.0 / len(hs))
+            cen = h - mean
+        elif count == 0.0:
+            # no populated neighborhood: normalize trivially
+            cen, var = h, np.ones(h.shape[-1])
+        else:
+            sq = h * mask
+            mean = sq.sum(axis=(0, 1)) * (1.0 / count)
+            cen = h - mean
+            np.multiply(cen, cen, out=sq)
+            sq *= mask
+            var = sq.sum(axis=(0, 1)) * (1.0 / count)
+        std = np.sqrt(var + _BN_EPS)
+        pre = cen / std
+        pre *= gamma.value
+        pre += beta.value
+        relu = pre > 0.0
+        saved.append((keep(x), keep(cen), keep(relu), std))
+        x = np.where(relu, pre, 0.0)
+    return x, saved
+
+
+def _mlp_backward(dy: np.ndarray, layers, saved):
+    """Backward of `_mlp_forward` from the gradient `dy` (rows, C) of its
+    kept output rows: the gradient of its kept input rows and, per layer,
+    those of (W, b, gamma, beta). Batch statistics are over the kept rows,
+    which are the only rows a 3D forward's statistics and max read."""
+    grads = []
+    for (w, _, gamma, _), (x, cen, relu, std) in reversed(list(zip(layers, saved))):
+        dpre = dy * relu
+        dgamma = (dpre * cen).sum(axis=0) / std
+        count = len(cen)
+        if count:
+            # pre = cen / std * gamma + beta, where cen = h - mean and
+            # std = sqrt(var + eps) both depend on every kept row of h
+            dvar = -0.5 * gamma.value * dgamma / std ** 2
+            dcen = dpre * (gamma.value / std) + cen * ((2.0 / count) * dvar)
+            dh = dcen - dcen.sum(axis=0) * (1.0 / count)
+        else:
+            dh = dpre
+        grads[:0] = [x.T @ dh, dh.sum(axis=0), dgamma, dpre.sum(axis=0)]
+        dy = dh @ w.value.T
+    return dy, grads
+
+
 def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
-    """Masked max over each row's neighbors of h(parts..., offset)."""
-    inp = concat([*parts, as_tensor(group.offsets)], axis=-1)
-    h = _mlp(inp, params, prefix, valid=group.valid)
-    return masked_max(h, group.valid)
+    """Masked max over each row's neighbors of h(parts..., offset), as one
+    tape node. Each part is (source tensor, idx, row scale or None) and
+    contributes source[idx] (times scale per row)."""
+    layers = _layers(params, prefix)
+    valid = group.valid
+    cols = []
+    for src, idx, scale in parts:
+        v = src.value[idx]
+        cols.append(v if scale is None else v * scale[:, None, None])
+    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
+                              layers, valid, None)
+    n, _, c = out.shape
+    neg = np.where(valid[:, :, None], out, -np.inf)
+    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
+    any_valid = valid.any(axis=1)
+    rows, chans = np.arange(n)[:, None], np.arange(c)[None, :]
+    value = np.where(any_valid[:, None], neg[rows, arg, chans], 0.0)
+    # position of every valid slot among the kept rows; the max reads one
+    # slot per (row, channel), so its gradient is a plain assignment
+    slot = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
+    hit_rows, hit_chans = np.nonzero(np.broadcast_to(any_valid[:, None], arg.shape))
+    hit_slots = slot[hit_rows, arg[hit_rows, hit_chans]]
+    valid_rows = np.nonzero(valid)[0]
+
+    def backward(g):
+        dy = np.zeros((len(valid_rows), c))
+        dy[hit_slots, hit_chans] = g[hit_rows, hit_chans]
+        dx, grads = _mlp_backward(dy, layers, saved)
+        out, a = [], 0
+        for src, idx, scale in parts:
+            b = a + src.value.shape[1]
+            d = dx[:, a:b] if scale is None else dx[:, a:b] * scale[valid_rows, None]
+            out.append(_scatter_rows(idx[valid], d, len(src.value))
+                       if src.requires_grad else None)
+            a = b
+        return out + grads
+    return custom(value, [src for src, _, _ in parts]
+                  + [t for layer in layers for t in layer], backward)
 
 
 def _down(g: Grouping, feats: Tensor, params: dict, prefix: str) -> Tensor:
-    return _set_conv([feats.gather(g.idx) * g.scale[:, None, None]], g, params, prefix)
+    return _set_conv([(feats, g.idx, g.scale)], g, params, prefix)
 
 
 def _embed(group: Grouping, smooth: Grouping, low: Tensor, high: Tensor,
            params: dict, prefix: str, smoothing_convs: int) -> Tensor:
     n, k = group.idx.shape
     self_idx = np.repeat(np.arange(n)[:, None], k, axis=1)
-    emb = _set_conv([low.gather(self_idx), high.gather(group.idx)], group, params, prefix)
+    emb = _set_conv([(low, self_idx, None), (high, group.idx, None)], group, params, prefix)
     for s in range(smoothing_convs):
-        emb = _set_conv([emb.gather(smooth.idx)], smooth, params, f"{prefix}.smooth{s}")
+        emb = _set_conv([(emb, smooth.idx, None)], smooth, params, f"{prefix}.smooth{s}")
     return emb
 
 
 def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tensor:
+    """Blend of the coarse neighbors' features, concatenated with the skip
+    feature and passed through the MLP, as one tape node."""
     idx, weights, order = blend
-    inp = concat([weighted_sum(coarse.gather(idx), weights), skip], axis=-1)
-    return _mlp(inp, params, prefix, stat_order=order)
+    layers = _layers(params, prefix)
+    cc = coarse.value.shape[1]
+    inp = np.concatenate([np.einsum("ik,ikc->ic", weights, coarse.value[idx]),
+                          skip.value], axis=-1)
+    value, saved = _mlp_forward(inp, layers, None, order)
+    hit = weights != 0.0
+    hit_rows = np.nonzero(hit)[0]
+
+    def backward(g):
+        dx, grads = _mlp_backward(g, layers, saved)
+        dc = None
+        if coarse.requires_grad:
+            dc = _scatter_rows(idx[hit], weights[hit][:, None] * dx[hit_rows, :cc],
+                               len(coarse.value))
+        return [dc, dx[:, cc:]] + grads
+    return custom(value, [coarse, skip] + [t for layer in layers for t in layer], backward)
 
 
 def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
@@ -548,7 +694,11 @@ class DisplacementNet:
         if version != 1:
             raise ValueError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", read(4))
-        config = NetworkConfig.from_json(read(clen).decode("utf-8"))
+        text = read(clen)
+        try:
+            config = NetworkConfig.from_json(text.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
         def read_block():
             (n,) = struct.unpack("<I", read(4))

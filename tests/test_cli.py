@@ -244,6 +244,19 @@ def test_eval_reports_frame_count_mismatch(pair_frames, tmp_path, capsys):
     assert "frame 001" not in out
 
 
+@pytest.mark.parametrize("side", ["pred", "ref"])
+def test_eval_names_an_empty_frame(pair_frames, tmp_path, side):
+    low_frames, high_frames = pair_frames
+    dirs = {"pred": _copy_frames(low_frames, tmp_path / "pred", "*.upf"),
+            "ref": _copy_frames(high_frames, tmp_path / "ref", "*.upf")}
+    name = sorted(os.listdir(dirs[side]))[1]
+    uio.save_particles(str(dirs[side] / name), ParticleSet.empty())
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--pred", str(dirs["pred"]), "--ref", str(dirs["ref"])])
+    assert str(dirs[side] / name) in str(exc.value.code)
+    assert "empty" in str(exc.value.code)
+
+
 def test_train_and_infer_and_eval(workspace):
     root, ds, net_cfg = workspace
     ckpt = root / "model.ffn"

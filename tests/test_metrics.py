@@ -95,3 +95,14 @@ def test_match_nearest_takes_the_lowest_index_on_ties():
                          rng.uniform(-0.4, 0.4, size=(20, 3))])
     d2 = np.sum((rp[:, None, :] - pp[None, :, :]) ** 2, axis=2)
     assert np.array_equal(match_nearest(pp, rp), np.argmin(d2, axis=1))
+
+
+def test_empty_reference_raises():
+    # a mean over no reference particle has no value; no NaN comes back
+    pp, pd, _, _ = random_instance(40, n_pred=5)
+    empty = np.zeros((0, 3))
+    for metric in (epe, flow_accuracy):
+        with pytest.raises(ValueError, match="empty reference"):
+            metric(pp, pd, empty, empty)
+    with pytest.raises(ValueError, match="empty reference"):
+        epe(pp, pd, empty, empty, exclude_static=True)

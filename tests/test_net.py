@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
                     TrainingSample, loss_up)
-from upflow.autodiff import as_tensor
-from upflow.net import (AdamState, DisplacementNet, FeatureSet, LevelConfig,
-                        NetworkConfig, ball_gather, downsample_conv,
-                        farthest_point_indices, flow_embedding, lexical_order,
-                        loss_gradients, nearest_indices, neighborhood_assignment,
-                        sample_loss, train, upsample_conv)
+from upflow import io as uio
+from upflow.autodiff import Tensor, as_tensor, masked_max, parameter
+from upflow.net import (AdamState, DisplacementNet, FeatureSet, Grouping, LevelConfig,
+                        NetworkConfig, _batchnorm, _init_mlp, _set_conv, _up,
+                        ball_gather, downsample_conv, farthest_point_indices,
+                        flow_embedding, lexical_order, loss_gradients,
+                        nearest_indices, neighborhood_assignment, sample_loss,
+                        train, up_geometry, upsample_conv)
 
 
 def cloud(n, seed=0, scale=0.2, center=(0.5, 0.5, 0.5)):
@@ -40,6 +43,62 @@ def test_config_requires_halving_counts():
     with pytest.raises(ValueError):
         NetworkConfig(levels=(LevelConfig(8, 0.2, (4,)), LevelConfig(5, 0.4, (4,))),
                       upconv_widths=((4,), (4,)))
+
+
+_GOOD_LEVELS = (LevelConfig(8, 0.25, (6,)), LevelConfig(4, 0.5, (8,)),
+                LevelConfig(2, 0.9, (10,)))
+
+
+def _with_level(i, **change):
+    levels = list(_GOOD_LEVELS)
+    fields = {"count": levels[i].count, "radius": levels[i].radius,
+              "widths": levels[i].widths, "max_neighbors": levels[i].max_neighbors}
+    levels[i] = LevelConfig(**{**fields, **change})
+    return {"levels": tuple(levels)}
+
+
+@pytest.mark.parametrize("change, field", [
+    (_with_level(0, widths=()), "levels[0].widths"),
+    (_with_level(1, widths=(4, 0)), "levels[1].widths"),
+    (_with_level(2, count=0), "levels[2].count"),
+    (_with_level(0, max_neighbors=0), "levels[0].max_neighbors"),
+    (_with_level(1, radius=-0.5), "levels[1].radius"),
+    (_with_level(2, radius=0.0), "levels[2].radius"),
+    (_with_level(0, radius=float("nan")), "levels[0].radius"),
+    ({"embedding_widths": ()}, "embedding_widths"),
+    ({"embedding_widths": (0,)}, "embedding_widths"),
+    ({"embedding_radius": 0.0}, "embedding_radius"),
+    ({"embedding_radius": float("inf")}, "embedding_radius"),
+    ({"smoothing_convs": -2}, "smoothing_convs"),
+    ({"upconv_widths": ((0,), (8,), (6,))}, "upconv_widths[0]"),
+    ({"upconv_widths": ((10,), (8,), ())}, "upconv_widths[2]"),
+    ({"upconv_widths": ((), (), ())}, "upconv_widths[0]"),
+])
+def test_config_rejects_degenerate_layouts(change, field):
+    fields = {"levels": _GOOD_LEVELS, "embedding_widths": (12,), "embedding_radius": 0.9,
+              "smoothing_convs": 1, "upconv_widths": ((10,), (8,), (6,)), **change}
+    with pytest.raises(ValueError, match=re.escape(field)):
+        NetworkConfig(**fields)
+
+
+def test_net_config_file_names_the_degenerate_field(tmp_path):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("[net]\ncounts = 12,6,3\nradii = 0.06,0.12,0.24\nwidths = 6;8;10\n"
+                   "upconv_widths = 10;8;6\nembedding_radius = 0.24\n"
+                   "embedding_widths = 0\n")
+    with pytest.raises(ValueError, match=r"net\.cfg: \[net\] embedding_widths"):
+        uio.parse_net_config(str(cfg))
+
+
+def test_checkpoint_with_a_degenerate_config_names_the_file(tmp_path):
+    class Edited:
+        def to_json(self):
+            return tiny_config().to_json().replace('"smoothing_convs": 1',
+                                                   '"smoothing_convs": -2')
+    path = tmp_path / "bad.ffn"
+    path.write_bytes(_ffn1_bytes(Edited(), [{}, {}]))
+    with pytest.raises(ValueError, match=r"bad\.ffn: smoothing_convs"):
+        DisplacementNet.load(str(path))
 
 
 def test_default_config_shapes():
@@ -585,3 +644,213 @@ def test_loss_nonnegative_random_inputs():
                             rng.normal(size=(n, 3)), np.abs(rng.normal(size=k)),
                             rng.integers(0, k, size=n)).value)
         assert val >= 0.0
+
+
+# -- fused layers against the tape-built layers they replaced ------------------------
+#
+# `_set_conv` and `_up` are single tape nodes with a hand-derived backward.
+# The reference below is the tape-built version they replaced: one node per
+# concat, matmul, batch-norm step, ReLU and max. Forward values must be
+# bit-equal; gradients agree to rounding, on one scale for all of them (the
+# Linear bias before batch norm has an analytically zero gradient, so its
+# entries are rounding noise and a per-tensor relative error means nothing).
+
+def _ref_concat(tensors, axis=-1):
+    out_val = np.concatenate([t.value for t in tensors], axis=axis)
+    bounds = np.cumsum([0] + [t.value.shape[axis] for t in tensors])
+
+    def bw(g):
+        for t, a, b in zip(tensors, bounds[:-1], bounds[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(a, b)
+                t._accumulate(g[tuple(sl)])
+    return Tensor(out_val, tuple(tensors), bw)
+
+
+def _ref_weighted_sum(x, weights):
+    def bw(g):
+        x._accumulate(weights[:, :, None] * g[:, None, :])
+    return Tensor(np.einsum("ik,ikc->ic", weights, x.value), (x,), bw)
+
+
+def _ref_reshape(x, *shape):
+    def bw(g):
+        x._accumulate(g.reshape(x.shape))
+    return Tensor(x.value.reshape(*shape), (x,), bw)
+
+
+def _ref_mlp(x, params, prefix, valid=None, stat_order=None):
+    ell = 0
+    while f"{prefix}.l{ell}.W" in params:
+        w = params[f"{prefix}.l{ell}.W"]
+        b = params[f"{prefix}.l{ell}.b"]
+        if x.value.ndim == 3:
+            n, k, c = x.value.shape
+            h = _ref_reshape(_ref_reshape(x, n * k, c) @ w, n, k, w.value.shape[1]) + b
+        else:
+            h = x @ w + b
+        h = _batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
+                       params[f"{prefix}.l{ell}.beta"], valid, stat_order)
+        x = h.relu()
+        ell += 1
+    return x
+
+
+def _ref_set_conv(parts, group, params, prefix):
+    inp = _ref_concat([*parts, as_tensor(group.offsets)], axis=-1)
+    h = _ref_mlp(inp, params, prefix, valid=group.valid)
+    return masked_max(h, group.valid)
+
+
+def _ref_up(blend, coarse, skip, params, prefix):
+    idx, weights, order = blend
+    inp = _ref_concat([_ref_weighted_sum(coarse.gather(idx), weights), skip], axis=-1)
+    return _ref_mlp(inp, params, prefix, stat_order=order)
+
+
+def _leaf(value, grad):
+    return parameter(value) if grad else as_tensor(value)
+
+
+def _fused_against_tape(fused, ref, leaves, rng):
+    """Run both layers, back-propagate one random projection of their
+    outputs, and return (values bit-equal, worst gradient error over the
+    largest reference gradient)."""
+    out, want = fused(), ref()
+    proj = rng.normal(size=want.shape)
+    for run in (fused, ref):
+        for t in leaves:
+            t.grad = None
+        (run() * proj).sum().backward()
+        grads = [t.grad for t in leaves]
+        if run is fused:
+            got = grads
+    scale = max(float(np.abs(g).max()) for g in grads if g is not None)
+    err = 0.0
+    for g_fused, g_ref in zip(got, grads):
+        assert (g_fused is None) == (g_ref is None)
+        if g_ref is not None:
+            err = max(err, float(np.abs(g_fused - g_ref).max()))
+    return np.array_equal(out.value, want.value), err / max(scale, 1e-300)
+
+
+_widths = st.lists(st.integers(1, 5), min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), widths=_widths, n=st.integers(1, 7),
+       k=st.integers(1, 6), fill=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       layout=st.sampled_from(["down", "down-no-grad", "embed", "smooth"]))
+def test_fused_set_conv_matches_the_tape(seed, widths, n, k, fill, layout):
+    # fill 0 is a grouping with no valid slot (batch norm's count == 0
+    # branch); other fills leave random rows with no valid neighbour
+    rng = np.random.default_rng(seed)
+    n_src = int(rng.integers(1, 9))
+    c = int(rng.integers(1, 4))
+    valid = rng.uniform(size=(n, k)) < fill
+    offsets = rng.normal(size=(n, k, 3))
+    group = Grouping(rng.integers(0, n_src, size=(n, k)), valid, offsets)
+    src = _leaf(rng.normal(size=(n_src, c)), layout != "down-no-grad")
+    if layout.startswith("down"):
+        scale = rng.uniform(0.0, 2.0, size=n)
+        parts = [(src, group.idx, scale)]
+        ref_parts = lambda: [src.gather(group.idx) * scale[:, None, None]]  # noqa: E731
+        leaves = [src]
+    elif layout == "embed":
+        # the low source is read through the repeated self index
+        low = parameter(rng.normal(size=(n, c)))
+        self_idx = np.repeat(np.arange(n)[:, None], k, axis=1)
+        parts = [(low, self_idx, None), (src, group.idx, None)]
+        ref_parts = lambda: [low.gather(self_idx), src.gather(group.idx)]  # noqa: E731
+        leaves = [low, src]
+    else:
+        parts = [(src, group.idx, None)]
+        ref_parts = lambda: [src.gather(group.idx)]  # noqa: E731
+        leaves = [src]
+    params = {}
+    _init_mlp(rng, params, "sc", sum(p[0].value.shape[1] for p in parts) + 3, widths)
+    for t in params.values():          # batch-norm affine parameters off 1 and 0
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+    same, err = _fused_against_tape(lambda: _set_conv(parts, group, params, "sc"),
+                                    lambda: _ref_set_conv(ref_parts(), group, params, "sc"),
+                                    leaves + list(params.values()), rng)
+    assert same
+    assert err <= 1e-10
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), widths=_widths, n_coarse=st.integers(1, 6),
+       n_fine=st.integers(1, 12), radius=st.sampled_from([0.05, 0.2, 0.5, 2.0]),
+       skip_grad=st.booleans())
+def test_fused_up_matches_the_tape(seed, widths, n_coarse, n_fine, radius, skip_grad):
+    # small radii leave fine points with no coarse point in reach: their
+    # rows fall back to the nearest coarse point with weight 1
+    rng = np.random.default_rng(seed)
+    cc, cs = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    blend = up_geometry(rng.uniform(size=(n_coarse, 3)), rng.uniform(size=(n_fine, 3)),
+                        radius, int(rng.integers(1, 5)))
+    coarse = parameter(rng.normal(size=(n_coarse, cc)))
+    skip = _leaf(rng.normal(size=(n_fine, cs)), skip_grad)
+    params = {}
+    _init_mlp(rng, params, "up", cc + cs, widths)
+    for t in params.values():
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+    same, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
+                                    lambda: _ref_up(blend, coarse, skip, params, "up"),
+                                    [coarse, skip] + list(params.values()), rng)
+    assert same
+    assert err <= 1e-10
+
+
+def test_fused_layers_cover_the_fallback_and_empty_branches():
+    # the hypothesis draws above reach these cases; pin one of each here
+    rng = np.random.default_rng(40)
+    blend = up_geometry(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+                        np.array([[0.05, 0.0, 0.0], [0.5, 0.5, 0.5], [0.9, 1.0, 1.0]]),
+                        0.2, 2)
+    assert np.count_nonzero(blend[1] == 1.0) >= 1     # a nearest-point row
+    coarse = parameter(rng.normal(size=(2, 3)))
+    params = {}
+    _init_mlp(rng, params, "up", 3 + 2, (4, 3))
+    skip = as_tensor(rng.normal(size=(3, 2)))
+    same, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
+                                    lambda: _ref_up(blend, coarse, skip, params, "up"),
+                                    [coarse] + list(params.values()), rng)
+    assert same and err <= 1e-10
+
+    empty = Grouping(np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4), dtype=bool),
+                     rng.normal(size=(3, 4, 3)))
+    src = parameter(rng.normal(size=(2, 3)))
+    params = {}
+    _init_mlp(rng, params, "sc", 6, (4, 2))
+    out = _set_conv([(src, empty.idx, None)], empty, params, "sc")
+    assert np.array_equal(out.value, np.zeros((3, 2)))
+    out.sum().backward()
+    assert np.array_equal(src.grad, np.zeros((2, 3)))
+    assert all(np.array_equal(t.grad, np.zeros_like(t.value)) for t in params.values())
+
+
+def _tape_nodes(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_loss_tape_stays_small():
+    # criterion 06's layout: the tape-built layers made 639 nodes per loss
+    # (one per concat, matmul, batch-norm step, ReLU and max); one node per
+    # set convolution and upsampling MLP makes 77, of which 34 are parameters
+    cfg = NetworkConfig(levels=_GOOD_LEVELS, embedding_widths=(12,), embedding_radius=0.9,
+                        smoothing_convs=1, upconv_widths=((10,), (8,), (6,)), seed=12)
+    rng = np.random.default_rng(3)
+    pts = np.array([0.5, 0.5, 0.5]) + 0.15 * rng.uniform(-1, 1, size=(30, 3))
+    vel = 0.1 * rng.normal(size=(30, 3))
+    sample = TrainingSample(ParticleSet(pts, vel), ParticleSet(pts + 0.02, vel),
+                            np.full((30, 3), 0.02), np.full(30, 0.5))
+    loss, _ = sample_loss(DisplacementNet.create(cfg), sample)
+    assert _tape_nodes(loss) <= 100
