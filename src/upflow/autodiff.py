@@ -1,11 +1,10 @@
 """Tape-based reverse-mode differentiation on float64 numpy arrays.
 
-Only the handful of operations the displacement network needs are provided,
-plus `custom`, a node whose backward is written by hand (the network's fused
-layers). Backward rules are exact; the masked max routes its gradient to the
-argmax entry, with ties resolved toward the lowest index. All reductions use
-numpy's fixed left-to-right accumulation, so results are reproducible
-bit-for-bit for identical inputs.
+Only the handful of operations the displacement network's loss needs are
+provided, plus `custom`, a node whose backward is written by hand (the
+network's fused layers). Backward rules are exact. All reductions use numpy's
+fixed left-to-right accumulation, so results are reproducible bit-for-bit for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(g, other.shape))
         return Tensor(out_val, (self, other), bw)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         out_val = self.value - other.value
@@ -93,9 +90,6 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-g, other.shape))
         return Tensor(out_val, (self, other), bw)
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -108,23 +102,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(g * self.value, other.shape))
         return Tensor(out_val, (self, other), bw)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out_val = self.value / other.value
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.value, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g * self.value / other.value ** 2,
-                                               other.shape))
-        return Tensor(out_val, (self, other), bw)
-
-    def __neg__(self):
-        return self * -1.0
-
     def __matmul__(self, other):
         other = as_tensor(other)
         out_val = self.value @ other.value
@@ -136,28 +113,7 @@ class Tensor:
                 other._accumulate(self.value.T @ g)
         return Tensor(out_val, (self, other), bw)
 
-    # -- indexing --------------------------------------------------------
-
-    def gather(self, index: np.ndarray):
-        """Row gather x[index]; backward scatter-adds into the source rows."""
-        index = np.asarray(index)
-        out_val = self.value[index]
-
-        def bw(g):
-            acc = np.zeros_like(self.value)
-            np.add.at(acc, index, g)
-            self._accumulate(acc)
-        return Tensor(out_val, (self,), bw)
-
     # -- elementwise -----------------------------------------------------
-
-    def relu(self):
-        mask = self.value > 0.0
-        out_val = np.where(mask, self.value, 0.0)
-
-        def bw(g):
-            self._accumulate(np.where(mask, g, 0.0))
-        return Tensor(out_val, (self,), bw)
 
     def abs(self):
         sign = np.sign(self.value)
@@ -165,13 +121,6 @@ class Tensor:
 
         def bw(g):
             self._accumulate(g * sign)
-        return Tensor(out_val, (self,), bw)
-
-    def sqrt(self):
-        out_val = np.sqrt(self.value)
-
-        def bw(g):
-            self._accumulate(g * 0.5 / out_val)
         return Tensor(out_val, (self,), bw)
 
     # -- reductions ------------------------------------------------------
@@ -220,24 +169,3 @@ def custom(value, parents, backward) -> Tensor:
             if gp is not None and p.requires_grad:
                 p._accumulate(gp)
     return Tensor(value, parents, bw)
-
-
-def masked_max(x: Tensor, valid: np.ndarray) -> Tensor:
-    """Max over axis 1 of (n, K, C), ignoring entries where `valid` (n, K) is
-    False. Rows with no valid entry produce zeros. The backward pass routes
-    each output's gradient to its argmax entry (lowest index on ties).
-    """
-    n, k, c = x.value.shape
-    neg = np.where(valid[:, :, None], x.value, -np.inf)
-    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
-    any_valid = valid.any(axis=1)
-    rows = np.arange(n)[:, None]
-    chans = np.arange(c)[None, :]
-    out_val = np.where(any_valid[:, None], neg[rows, arg, chans], 0.0)
-
-    def bw(g):
-        acc = np.zeros_like(x.value)
-        gg = np.where(any_valid[:, None], g, 0.0)
-        np.add.at(acc, (rows, arg, chans), gg)
-        x._accumulate(acc)
-    return Tensor(out_val, (x,), bw)

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, custom, parameter
-from .autodiff import masked_max  # noqa: F401  (re-exported for callers of net)
 from .errors import CenterMismatch, LengthMismatch, NonFiniteLoss
 from .kernels import kernel_k
 from .particles import ParticleSet, nearest_points, radius_pairs
 
 _BN_EPS = 1e-5
+_PRE_BN_BIAS = re.compile(r".+\.l\d+\.b")   # MLP biases of older checkpoints
 
 
 # -- configuration -------------------------------------------------------------
@@ -231,43 +232,10 @@ def _init_mlp(rng, params, prefix: str, in_dim: int, widths):
     for ell, w in enumerate(widths):
         scale = np.sqrt(2.0 / d)
         params[f"{prefix}.l{ell}.W"] = parameter(rng.normal(0.0, scale, size=(d, w)))
-        params[f"{prefix}.l{ell}.b"] = parameter(np.zeros(w))
         params[f"{prefix}.l{ell}.gamma"] = parameter(np.ones(w))
         params[f"{prefix}.l{ell}.beta"] = parameter(np.zeros(w))
         d = w
     return d
-
-
-def _batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, valid: np.ndarray | None,
-               stat_order: np.ndarray | None):
-    """BatchNorm over rows: statistics come from the rows of the current
-    input set, using only valid rows (3D input) or the canonically re-ordered
-    rows (2D input) so they never depend on input permutation.
-
-    The "batch" is always the processed particle cloud itself, at inference
-    too: one cloud is one batch here, and exponential running averages taken
-    across training clouds turned out to diverge from the per-cloud
-    normalization the network actually learns (single-cloud batches, unlike
-    the many-clouds-per-batch regime)."""
-    if valid is not None:
-        mask = valid[:, :, None].astype(np.float64)
-        count = float(valid.sum())
-        if count == 0.0:
-            # a level with no populated neighborhood: normalize trivially
-            mean = as_tensor(np.zeros(x.value.shape[-1]))
-            var = as_tensor(np.ones(x.value.shape[-1]))
-            norm = (x - mean) / (var + _BN_EPS).sqrt()
-            return norm * gamma + beta
-        mean = (x * mask).sum(axis=(0, 1)) * (1.0 / count)
-        cen = x - mean
-        var = (cen * cen * mask).sum(axis=(0, 1)) * (1.0 / count)
-    else:
-        xs = x.gather(stat_order) if stat_order is not None else x
-        mean = xs.mean(axis=0)
-        cen = xs - mean
-        var = (cen * cen).mean(axis=0)
-    norm = (x - mean) / (var + _BN_EPS).sqrt()
-    return norm * gamma + beta
 
 
 # -- layer geometry: tape-free, from positions alone -----------------------------
@@ -334,19 +302,25 @@ def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def _layers(params: dict, prefix: str):
-    """(W, b, gamma, beta) of each MLP layer of `prefix` in `params`."""
+    """(W, gamma, beta) of each MLP layer of `prefix` in `params`."""
     out = []
     while f"{prefix}.l{len(out)}.W" in params:
         out.append(tuple(params[f"{prefix}.l{len(out)}.{k}"]
-                         for k in ("W", "b", "gamma", "beta")))
+                         for k in ("W", "gamma", "beta")))
     return out
 
 
 def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
                  stat_order: np.ndarray | None):
     """Shared nonlinear map h on plain arrays: (Linear -> BatchNorm -> ReLU)
-    per layer, with `_batchnorm`'s statistics and the values of the tape's
-    numpy operations, so outputs are bit-identical to a tape-built MLP.
+    per layer. The Linear has no bias, as the batch norm's mean subtraction
+    would cancel it.
+
+    Batch-norm statistics come from the current input set: its valid slots
+    (3D input) or its rows in the canonical `stat_order` (2D input), so they
+    never depend on input permutation. The "batch" is the processed particle
+    cloud itself, at inference too: running averages taken across training
+    clouds diverged from the per-cloud normalization the network learns.
 
     Keeps for `_mlp_backward` only the rows that reach the output (the valid
     slots of a 3D input, every row of a 2D one): each layer's input, centred
@@ -362,13 +336,12 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
         def keep(a):
             return a.reshape(-1, a.shape[-1])[kept]
     saved = []
-    for w, b, gamma, beta in layers:
+    for w, gamma, beta in layers:
         if x.ndim == 3:
             n, k, c = x.shape
             h = (x.reshape(n * k, c) @ w.value).reshape(n, k, w.value.shape[1])
         else:
             h = x @ w.value
-        h += b.value
         if valid is None:
             hs = h[stat_order]
             mean = hs.sum(axis=0) * (1.0 / len(hs))
@@ -398,10 +371,10 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
 def _mlp_backward(dy: np.ndarray, layers, saved):
     """Backward of `_mlp_forward` from the gradient `dy` (rows, C) of its
     kept output rows: the gradient of its kept input rows and, per layer,
-    those of (W, b, gamma, beta). Batch statistics are over the kept rows,
+    those of (W, gamma, beta). Batch statistics are over the kept rows,
     which are the only rows a 3D forward's statistics and max read."""
     grads = []
-    for (w, _, gamma, _), (x, cen, relu, std) in reversed(list(zip(layers, saved))):
+    for (w, gamma, _), (x, cen, relu, std) in reversed(list(zip(layers, saved))):
         dpre = dy * relu
         dgamma = (dpre * cen).sum(axis=0) / std
         count = len(cen)
@@ -413,7 +386,7 @@ def _mlp_backward(dy: np.ndarray, layers, saved):
             dh = dcen - dcen.sum(axis=0) * (1.0 / count)
         else:
             dh = dpre
-        grads[:0] = [x.T @ dh, dh.sum(axis=0), dgamma, dpre.sum(axis=0)]
+        grads[:0] = [x.T @ dh, dgamma, dpre.sum(axis=0)]
         dy = dh @ w.value.T
     return dy, grads
 
@@ -712,9 +685,20 @@ class DisplacementNet:
                 arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
                 out[name] = arr.astype(np.float64)
             return out
-        params = {k: parameter(v) for k, v in read_block().items()}
+        # older files carry a Linear bias ahead of every batch norm, which
+        # the mean subtraction cancels; it is read and dropped
+        params = {k: v for k, v in read_block().items() if not _PRE_BN_BIAS.fullmatch(k)}
         read_block()  # batch-norm statistics of older checkpoints, unused
-        return cls(config, params)
+        want = cls.create(config).params
+        for name in sorted(set(want) | set(params)):
+            if name not in params:
+                raise ValueError(f"{path}: parameter {name} is missing")
+            if name not in want:
+                raise ValueError(f"{path}: parameter {name} is not in the network")
+            if params[name].shape != want[name].shape:
+                raise ValueError(f"{path}: parameter {name} has shape "
+                                 f"{params[name].shape}, the network needs {want[name].shape}")
+        return cls(config, {k: parameter(v) for k, v in params.items()})
 
 
 def neighborhood_assignment(positions: np.ndarray, config: NetworkConfig):

@@ -22,10 +22,10 @@ from upflow import (AlignmentPenalty, DeformationField, FlipSolver, FlowParams,
 from upflow import io as uio
 from upflow.dataset import ParamMatrix
 from upflow.inference import pass_noise_curve, surface_roughness
-from upflow.net import (DisplacementNet, LevelConfig, NetworkConfig,
+from upflow.net import (DisplacementNet, Grouping, LevelConfig, NetworkConfig,
                         downsample_conv, flow_embedding, loss_gradients,
                         sample_loss, train, upsample_conv, _init_mlp,
-                        _batchnorm, masked_max)
+                        _set_conv, _up)
 from upflow.autodiff import as_tensor, parameter
 
 
@@ -203,49 +203,70 @@ def test_criterion_05_gradient_checks():
         w_lin = max(w_lin, _fd_match(lambda: (as_tensor(x) @ p).abs().sum(), p, rng))
     worst["linear/regression"] = w_lin
 
+    # The batch norm, ReLU and masked max run inside the fused layers: a set
+    # convolution (masked batch norm, ReLU, max over the valid slots) and an
+    # upsampling MLP (batch norm in canonical row order, ReLU).
+    def random_blend(n_coarse, n_fine, k):
+        weights = rng.uniform(0.1, 1.0, size=(n_fine, k))
+        return (rng.integers(0, n_coarse, size=(n_fine, k)),
+                weights / weights.sum(axis=1, keepdims=True), rng.permutation(n_fine))
+
+    def random_grouping(n, k, n_src, keep):
+        valid = rng.uniform(size=(n, k)) > 1.0 - keep
+        valid[0, 0] = True
+        valid[-1] = False                 # a row with no valid slot
+        return Grouping(rng.integers(0, n_src, size=(n, k)), valid,
+                        rng.normal(size=(n, k, 3)))
+
     # relu
     w = 0.0
     for _ in range(20):
-        p = parameter(rng.normal(size=(12,)) + np.sign(rng.normal(size=12)) * 0.3)
+        params = {}
+        _init_mlp(rng, params, "up", 4 + 2, (5,))
+        blend = random_blend(4, 12, 3)
+        coarse = as_tensor(rng.normal(size=(4, 4)))
+        skip = parameter(rng.normal(size=(12, 2)))
         scale = float(rng.normal())
-        w = max(w, _fd_match(lambda: (p.relu() * scale).sum(), p, rng))
+        w = max(w, _fd_match(lambda: (_up(blend, coarse, skip, params, "up") * scale).sum(),
+                             skip, rng))
     worst["relu"] = w
 
     # batch norm over masked 3D rows (training statistics)
     w = 0.0
     for _ in range(20):
         params = {}
-        _init_mlp(rng, params, "bn", 4, (3,))
-        x = parameter(rng.normal(size=(4, 5, 3)))
-        valid = rng.uniform(size=(4, 5)) > 0.3
-        valid[0, 0] = True
-        gamma, beta = params["bn.l0.gamma"], params["bn.l0.beta"]
-        for leaf in (gamma, x):
+        _init_mlp(rng, params, "bn", 3 + 3, (3,))
+        group = random_grouping(4, 5, 6, 0.7)
+        src = parameter(rng.normal(size=(6, 3)))
+        for leaf in (params["bn.l0.gamma"], src):
             w = max(w, _fd_match(
-                lambda: _batchnorm(x, gamma, beta, valid, None).abs().sum(), leaf, rng))
+                lambda: _set_conv([(src, group.idx, None)], group, params, "bn").abs().sum(),
+                leaf, rng))
     worst["batchnorm-masked"] = w
 
     # batch norm with canonical row order (2D), scale/shift parameters
     w = 0.0
     for _ in range(20):
         params = {}
-        _init_mlp(rng, params, "bn", 4, (3,))
-        x = parameter(rng.normal(size=(9, 3)))
-        order = rng.permutation(9)
-        gamma, beta = params["bn.l0.gamma"], params["bn.l0.beta"]
-        w = max(w, _fd_match(
-            lambda: _batchnorm(x, gamma, beta, None, order).abs().sum(), gamma, rng))
-        w = max(w, _fd_match(
-            lambda: _batchnorm(x, gamma, beta, None, order).abs().sum(), beta, rng))
+        _init_mlp(rng, params, "bn", 3 + 2, (3,))
+        blend = random_blend(4, 9, 3)
+        coarse = parameter(rng.normal(size=(4, 3)))
+        skip = as_tensor(rng.normal(size=(9, 2)))
+        for leaf in (params["bn.l0.gamma"], params["bn.l0.beta"]):
+            w = max(w, _fd_match(
+                lambda: _up(blend, coarse, skip, params, "bn").abs().sum(), leaf, rng))
     worst["batchnorm-ordered"] = w
 
     # masked max pooling
     w = 0.0
     for _ in range(20):
-        p = parameter(rng.normal(size=(3, 6, 4)))
-        valid = rng.uniform(size=(3, 6)) > 0.25
-        valid[:, 0] = True
-        w = max(w, _fd_match(lambda: masked_max(p, valid).abs().sum(), p, rng))
+        params = {}
+        _init_mlp(rng, params, "mp", 4 + 3, (4,))
+        group = random_grouping(3, 6, 5, 0.75)
+        src = parameter(rng.normal(size=(5, 4)))
+        w = max(w, _fd_match(
+            lambda: _set_conv([(src, group.idx, None)], group, params, "mp").abs().sum(),
+            src, rng))
     worst["masked-max"] = w
 
     # downsampling set convolution (whole layer, through its MLP weights)

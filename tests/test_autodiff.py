@@ -1,7 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from upflow.autodiff import as_tensor, custom, masked_max, parameter
+from test_net import _ref_div, _ref_gather, _ref_masked_max, _ref_relu, _ref_sqrt
+from upflow import ParticleSet, TrainingSample
+from upflow.autodiff import Tensor, as_tensor, custom, parameter
+from upflow.net import DisplacementNet, LevelConfig, NetworkConfig, loss_gradients
 
 
 def fd_check(make_loss, param, rel_tol=1e-6, eps=1e-6):
@@ -33,10 +38,14 @@ def test_add_mul_broadcast():
     fd_check(lambda: ((p * c + 2.0) * p).sum(), p)
 
 
+# Division, square root, ReLU, gather and masked max are `_ref_*` nodes of
+# `tests/test_net.py`, the tape-built reference the fused network layers are
+# checked against; the library itself has no such nodes.
+
 def test_div_and_sqrt():
     rng = np.random.default_rng(1)
     p = parameter(rng.uniform(0.5, 2.0, size=(5,)))
-    fd_check(lambda: (as_tensor(1.0) / p + p.sqrt()).sum(), p)
+    fd_check(lambda: (_ref_div(1.0, p) + _ref_sqrt(p)).sum(), p)
 
 
 def test_matmul():
@@ -49,14 +58,14 @@ def test_matmul():
 def test_relu_kink_free_points():
     rng = np.random.default_rng(3)
     p = parameter(rng.normal(size=(10,)) + np.sign(rng.normal(size=10)) * 0.5)
-    fd_check(lambda: (p.relu() * 3.0).sum(), p)
+    fd_check(lambda: (_ref_relu(p) * 3.0).sum(), p)
 
 
 def test_gather_fd():
     rng = np.random.default_rng(4)
     p = parameter(rng.normal(size=(6, 2)))
     idx = np.array([[0, 2], [5, 5], [1, 3]])
-    fd_check(lambda: p.gather(idx).abs().sum(), p)
+    fd_check(lambda: _ref_gather(p, idx).abs().sum(), p)
 
 
 def test_sum_axes_keepdims():
@@ -76,7 +85,7 @@ def test_masked_max_routes_to_argmax():
                      [[4.0, 1.0], [4.0, 8.0], [0.0, 0.0]]])
     valid = np.array([[True, True, False], [True, True, False]])
     p = parameter(vals)
-    out = masked_max(p, valid)
+    out = _ref_masked_max(p, valid)
     assert np.array_equal(out.value, [[3.0, 5.0], [4.0, 8.0]])
     out.sum().backward()
     g = p.grad
@@ -90,7 +99,7 @@ def test_masked_max_routes_to_argmax():
 def test_masked_max_empty_rows_produce_zero():
     p = parameter(np.ones((2, 3, 4)))
     valid = np.array([[False, False, False], [True, False, False]])
-    out = masked_max(p, valid)
+    out = _ref_masked_max(p, valid)
     assert np.array_equal(out.value[0], np.zeros(4))
     out.sum().backward()
     assert np.all(p.grad[0] == 0.0)
@@ -101,7 +110,7 @@ def test_masked_max_fd():
     p = parameter(rng.normal(size=(3, 4, 2)))
     valid = rng.uniform(size=(3, 4)) > 0.3
     valid[0] = True
-    fd_check(lambda: masked_max(p, valid).abs().sum(), p)
+    fd_check(lambda: _ref_masked_max(p, valid).abs().sum(), p)
 
 
 def test_custom_node_routes_one_gradient_per_parent():
@@ -140,6 +149,37 @@ def test_backward_requires_scalar():
     p = parameter(np.ones(3))
     with pytest.raises(ValueError):
         (p * 2.0).backward()
+
+
+def test_every_tape_op_runs_in_the_network(monkeypatch):
+    # one loss gradient and one prediction on criterion 06's layout reach
+    # every function of Tensor: an operation that only tests use belongs
+    # in the tests, as the reference nodes above do
+    reached = set()
+
+    def traced(name, fn):
+        def run(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return run
+    wrapped = {name for name, fn in vars(Tensor).items()
+               if inspect.isfunction(fn) and name != "__init__"}
+    for name in wrapped:
+        monkeypatch.setattr(Tensor, name, traced(name, vars(Tensor)[name]))
+    cfg = NetworkConfig(
+        levels=(LevelConfig(8, 0.25, (6,)), LevelConfig(4, 0.5, (8,)),
+                LevelConfig(2, 0.9, (10,))),
+        embedding_widths=(12,), embedding_radius=0.9, smoothing_convs=1,
+        upconv_widths=((10,), (8,), (6,)), seed=12)
+    rng = np.random.default_rng(3)
+    pts = np.array([0.5, 0.5, 0.5]) + 0.15 * rng.uniform(-1, 1, size=(30, 3))
+    vel = 0.1 * rng.normal(size=(30, 3))
+    x_l, x_h = ParticleSet(pts, vel), ParticleSet(pts + 0.02, vel)
+    model = DisplacementNet.create(cfg)
+    loss_gradients(model, TrainingSample(x_l, x_h, np.full((30, 3), 0.02),
+                                         np.full(30, 0.5)))
+    model.predict(x_l, x_h)
+    assert reached == wrapped
 
 
 def test_values_are_float64():

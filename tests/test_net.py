@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
                     TrainingSample, loss_up)
 from upflow import io as uio
-from upflow.autodiff import Tensor, as_tensor, masked_max, parameter
-from upflow.net import (AdamState, DisplacementNet, FeatureSet, Grouping, LevelConfig,
-                        NetworkConfig, _batchnorm, _init_mlp, _set_conv, _up,
+from upflow.autodiff import Tensor, _unbroadcast, as_tensor, parameter
+from upflow.net import (_BN_EPS, AdamState, DisplacementNet, FeatureSet, Grouping,
+                        LevelConfig, NetworkConfig, _init_mlp, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
                         flow_embedding, lexical_order, loss_gradients,
                         nearest_indices, neighborhood_assignment, sample_loss,
@@ -606,6 +606,44 @@ def test_checkpoint_loads_running_statistics_layout(tmp_path):
     assert new.read_bytes() == _ffn1_bytes(cfg, [params, {}])
 
 
+def test_checkpoint_drops_pre_batch_norm_biases(tmp_path):
+    # files that carry a Linear bias ahead of every batch norm load without
+    # them; the batch norm's mean subtraction cancelled them anyway
+    cfg = tiny_config(seed=7)
+    model = DisplacementNet.create(cfg)
+    params = {k: t.value for k, t in model.params.items()}
+    biases = {k[:-len("W")] + "b": np.full(v.shape[1], 0.3)
+              for k, v in params.items() if re.fullmatch(r".+\.l\d+\.W", k)}
+    assert len(biases) == 8 and not set(biases) & set(params)
+    old = tmp_path / "old.ffn"
+    old.write_bytes(_ffn1_bytes(cfg, [{**params, **biases}, {}]))
+    loaded = DisplacementNet.load(str(old))
+    assert sorted(loaded.params) == sorted(params)
+    new = tmp_path / "new.ffn"
+    loaded.save(str(new))
+    # re-saving writes the other entries only
+    assert new.read_bytes() == _ffn1_bytes(cfg, [params, {}])
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda p: p.pop("down1.l0.gamma"), "down1.l0.gamma"),
+    (lambda p: p.update({"up0.l0.W": np.ones((3, 10))}), "up0.l0.W"),
+    (lambda p: p.update({"reg.b": np.ones(4)}), "reg.b"),
+    (lambda p: p.update({"down0.l0.gamma": np.ones(7)}), "down0.l0.gamma"),
+    (lambda p: p.update({"head.W": np.ones((6, 3))}), "head.W"),
+])
+def test_checkpoint_must_fit_its_config(tmp_path, edit, name):
+    # a missing, mis-shaped or unknown entry fails at load, naming the file
+    # and the parameter, instead of in a later forward pass
+    cfg = tiny_config(seed=8)
+    params = {k: t.value for k, t in DisplacementNet.create(cfg).params.items()}
+    edit(params)
+    path = tmp_path / "bad.ffn"
+    path.write_bytes(_ffn1_bytes(cfg, [params, {}]))
+    with pytest.raises(ValueError, match=rf"bad\.ffn: parameter {re.escape(name)} "):
+        DisplacementNet.load(str(path))
+
+
 def test_truncated_checkpoint_raises(tmp_path):
     cfg = NetworkConfig(levels=(LevelConfig(2, 0.5, (2,)),), embedding_widths=(2,),
                         smoothing_convs=0, upconv_widths=((2,),))
@@ -650,10 +688,8 @@ def test_loss_nonnegative_random_inputs():
 #
 # `_set_conv` and `_up` are single tape nodes with a hand-derived backward.
 # The reference below is the tape-built version they replaced: one node per
-# concat, matmul, batch-norm step, ReLU and max. Forward values must be
-# bit-equal; gradients agree to rounding, on one scale for all of them (the
-# Linear bias before batch norm has an analytically zero gradient, so its
-# entries are rounding noise and a per-tensor relative error means nothing).
+# concat, gather, matmul, batch-norm step, ReLU and max. Forward values must
+# be bit-equal; gradients agree to rounding, on one scale for all of them.
 
 def _ref_concat(tensors, axis=-1):
     out_val = np.concatenate([t.value for t in tensors], axis=axis)
@@ -680,19 +716,97 @@ def _ref_reshape(x, *shape):
     return Tensor(x.value.reshape(*shape), (x,), bw)
 
 
+def _ref_gather(x, index):
+    """Row gather x[index]; backward scatter-adds into the source rows."""
+    def bw(g):
+        acc = np.zeros_like(x.value)
+        np.add.at(acc, index, g)
+        x._accumulate(acc)
+    return Tensor(x.value[index], (x,), bw)
+
+
+def _ref_relu(x):
+    mask = x.value > 0.0
+
+    def bw(g):
+        x._accumulate(np.where(mask, g, 0.0))
+    return Tensor(np.where(mask, x.value, 0.0), (x,), bw)
+
+
+def _ref_sqrt(x):
+    out_val = np.sqrt(x.value)
+
+    def bw(g):
+        x._accumulate(g * 0.5 / out_val)
+    return Tensor(out_val, (x,), bw)
+
+
+def _ref_div(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.value, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.value / b.value ** 2, b.shape))
+    return Tensor(a.value / b.value, (a, b), bw)
+
+
+def _ref_masked_max(x, valid):
+    """Max over axis 1 of (n, K, C), ignoring slots where `valid` (n, K) is
+    False; rows with no valid slot give zeros. The gradient goes to the
+    argmax slot (lowest index on ties)."""
+    n, _, c = x.value.shape
+    neg = np.where(valid[:, :, None], x.value, -np.inf)
+    arg = np.argmax(neg, axis=1)
+    any_valid = valid.any(axis=1)
+    rows, chans = np.arange(n)[:, None], np.arange(c)[None, :]
+
+    def bw(g):
+        acc = np.zeros_like(x.value)
+        np.add.at(acc, (rows, arg, chans), np.where(any_valid[:, None], g, 0.0))
+        x._accumulate(acc)
+    return Tensor(np.where(any_valid[:, None], neg[rows, arg, chans], 0.0), (x,), bw)
+
+
+def _ref_batchnorm(x, gamma, beta, valid=None, stat_order=None):
+    """Batch norm with statistics over the valid slots of a 3D input, or over
+    the rows of a 2D input taken in `stat_order`; a 3D input with no valid
+    slot is normalized with mean 0 and variance 1."""
+    if valid is not None:
+        mask = valid[:, :, None].astype(np.float64)
+        count = float(valid.sum())
+        if count == 0.0:
+            mean = as_tensor(np.zeros(x.shape[-1]))
+            var = as_tensor(np.ones(x.shape[-1]))
+        else:
+            mean = (x * mask).sum(axis=(0, 1)) * (1.0 / count)
+            cen = x - mean
+            var = (cen * cen * mask).sum(axis=(0, 1)) * (1.0 / count)
+    else:
+        xs = _ref_gather(x, stat_order)
+        mean = xs.mean(axis=0)
+        cen = xs - mean
+        var = (cen * cen).mean(axis=0)
+    return _ref_div(x - mean, _ref_sqrt(var + _BN_EPS)) * gamma + beta
+
+
 def _ref_mlp(x, params, prefix, valid=None, stat_order=None):
+    """(Linear -> batch norm -> ReLU) per layer; a layer's Linear adds the
+    bias `{prefix}.l{n}.b` when `params` holds one."""
     ell = 0
     while f"{prefix}.l{ell}.W" in params:
         w = params[f"{prefix}.l{ell}.W"]
-        b = params[f"{prefix}.l{ell}.b"]
         if x.value.ndim == 3:
             n, k, c = x.value.shape
-            h = _ref_reshape(_ref_reshape(x, n * k, c) @ w, n, k, w.value.shape[1]) + b
+            h = _ref_reshape(_ref_reshape(x, n * k, c) @ w, n, k, w.value.shape[1])
         else:
-            h = x @ w + b
-        h = _batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
-                       params[f"{prefix}.l{ell}.beta"], valid, stat_order)
-        x = h.relu()
+            h = x @ w
+        if f"{prefix}.l{ell}.b" in params:
+            h = h + params[f"{prefix}.l{ell}.b"]
+        h = _ref_batchnorm(h, params[f"{prefix}.l{ell}.gamma"],
+                           params[f"{prefix}.l{ell}.beta"], valid, stat_order)
+        x = _ref_relu(h)
         ell += 1
     return x
 
@@ -700,12 +814,12 @@ def _ref_mlp(x, params, prefix, valid=None, stat_order=None):
 def _ref_set_conv(parts, group, params, prefix):
     inp = _ref_concat([*parts, as_tensor(group.offsets)], axis=-1)
     h = _ref_mlp(inp, params, prefix, valid=group.valid)
-    return masked_max(h, group.valid)
+    return _ref_masked_max(h, group.valid)
 
 
 def _ref_up(blend, coarse, skip, params, prefix):
     idx, weights, order = blend
-    inp = _ref_concat([_ref_weighted_sum(coarse.gather(idx), weights), skip], axis=-1)
+    inp = _ref_concat([_ref_weighted_sum(_ref_gather(coarse, idx), weights), skip], axis=-1)
     return _ref_mlp(inp, params, prefix, stat_order=order)
 
 
@@ -715,8 +829,9 @@ def _leaf(value, grad):
 
 def _fused_against_tape(fused, ref, leaves, rng):
     """Run both layers, back-propagate one random projection of their
-    outputs, and return (values bit-equal, worst gradient error over the
-    largest reference gradient)."""
+    outputs, and return the worst value error over the largest reference
+    value (0 when bit-equal) and the worst gradient error over the largest
+    reference gradient."""
     out, want = fused(), ref()
     proj = rng.normal(size=want.shape)
     for run in (fused, ref):
@@ -732,7 +847,9 @@ def _fused_against_tape(fused, ref, leaves, rng):
         assert (g_fused is None) == (g_ref is None)
         if g_ref is not None:
             err = max(err, float(np.abs(g_fused - g_ref).max()))
-    return np.array_equal(out.value, want.value), err / max(scale, 1e-300)
+    value_err = float(np.abs(out.value - want.value).max(initial=0.0))
+    return (value_err / max(float(np.abs(want.value).max(initial=0.0)), 1e-300),
+            err / max(scale, 1e-300))
 
 
 _widths = st.lists(st.integers(1, 5), min_size=1, max_size=3)
@@ -755,27 +872,27 @@ def test_fused_set_conv_matches_the_tape(seed, widths, n, k, fill, layout):
     if layout.startswith("down"):
         scale = rng.uniform(0.0, 2.0, size=n)
         parts = [(src, group.idx, scale)]
-        ref_parts = lambda: [src.gather(group.idx) * scale[:, None, None]]  # noqa: E731
+        ref_parts = lambda: [_ref_gather(src, group.idx) * scale[:, None, None]]  # noqa: E731
         leaves = [src]
     elif layout == "embed":
         # the low source is read through the repeated self index
         low = parameter(rng.normal(size=(n, c)))
         self_idx = np.repeat(np.arange(n)[:, None], k, axis=1)
         parts = [(low, self_idx, None), (src, group.idx, None)]
-        ref_parts = lambda: [low.gather(self_idx), src.gather(group.idx)]  # noqa: E731
+        ref_parts = lambda: [_ref_gather(low, self_idx), _ref_gather(src, group.idx)]  # noqa: E731
         leaves = [low, src]
     else:
         parts = [(src, group.idx, None)]
-        ref_parts = lambda: [src.gather(group.idx)]  # noqa: E731
+        ref_parts = lambda: [_ref_gather(src, group.idx)]  # noqa: E731
         leaves = [src]
     params = {}
     _init_mlp(rng, params, "sc", sum(p[0].value.shape[1] for p in parts) + 3, widths)
     for t in params.values():          # batch-norm affine parameters off 1 and 0
         t.value += 0.3 * rng.normal(size=t.value.shape)
-    same, err = _fused_against_tape(lambda: _set_conv(parts, group, params, "sc"),
+    diff, err = _fused_against_tape(lambda: _set_conv(parts, group, params, "sc"),
                                     lambda: _ref_set_conv(ref_parts(), group, params, "sc"),
                                     leaves + list(params.values()), rng)
-    assert same
+    assert diff == 0.0
     assert err <= 1e-10
 
 
@@ -796,10 +913,10 @@ def test_fused_up_matches_the_tape(seed, widths, n_coarse, n_fine, radius, skip_
     _init_mlp(rng, params, "up", cc + cs, widths)
     for t in params.values():
         t.value += 0.3 * rng.normal(size=t.value.shape)
-    same, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
+    diff, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
                                     lambda: _ref_up(blend, coarse, skip, params, "up"),
                                     [coarse, skip] + list(params.values()), rng)
-    assert same
+    assert diff == 0.0
     assert err <= 1e-10
 
 
@@ -814,10 +931,10 @@ def test_fused_layers_cover_the_fallback_and_empty_branches():
     params = {}
     _init_mlp(rng, params, "up", 3 + 2, (4, 3))
     skip = as_tensor(rng.normal(size=(3, 2)))
-    same, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
+    diff, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
                                     lambda: _ref_up(blend, coarse, skip, params, "up"),
                                     [coarse] + list(params.values()), rng)
-    assert same and err <= 1e-10
+    assert diff == 0.0 and err <= 1e-10
 
     empty = Grouping(np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4), dtype=bool),
                      rng.normal(size=(3, 4, 3)))
@@ -829,6 +946,52 @@ def test_fused_layers_cover_the_fallback_and_empty_branches():
     out.sum().backward()
     assert np.array_equal(src.grad, np.zeros((2, 3)))
     assert all(np.array_equal(t.grad, np.zeros_like(t.value)) for t in params.values())
+
+
+@pytest.mark.parametrize("fill", [0.0, 0.3, 0.7, 1.0])
+def test_pre_batch_norm_bias_cancels_in_set_conv(fill):
+    # the reference adds a Linear bias before each batch norm; the fused
+    # layer has none. Fill 0 takes batch norm's count == 0 branch.
+    rng = np.random.default_rng(int(fill * 10) + 50)
+    n, k, c = 6, 5, 3
+    valid = rng.uniform(size=(n, k)) < fill
+    valid[-1] = False
+    group = Grouping(rng.integers(0, 7, size=(n, k)), valid, rng.normal(size=(n, k, 3)))
+    src = parameter(rng.normal(size=(7, c)))
+    params = {}
+    _init_mlp(rng, params, "sc", c + 3, (4, 3))
+    for t in params.values():
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+    biased = {**params, "sc.l0.b": as_tensor(0.3 * rng.normal(size=4)),
+              "sc.l1.b": as_tensor(0.3 * rng.normal(size=3))}
+    diff, err = _fused_against_tape(
+        lambda: _set_conv([(src, group.idx, None)], group, params, "sc"),
+        lambda: _ref_set_conv([_ref_gather(src, group.idx)], group, biased, "sc"),
+        [src] + list(params.values()), rng)
+    assert diff <= 1e-12 and err <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pre_batch_norm_bias_cancels_in_up(seed):
+    # a small radius leaves fine points with no coarse point in reach, so
+    # their rows take the nearest-point fallback
+    rng = np.random.default_rng(seed + 60)
+    coarse_pts, fine_pts = rng.uniform(size=(5, 3)), rng.uniform(size=(11, 3))
+    gap = np.linalg.norm(fine_pts[:, None] - coarse_pts[None], axis=2).min(axis=1)
+    assert np.any(gap > 0.3)
+    blend = up_geometry(coarse_pts, fine_pts, 0.3, 3)
+    coarse = parameter(rng.normal(size=(5, 4)))
+    skip = parameter(rng.normal(size=(11, 2)))
+    params = {}
+    _init_mlp(rng, params, "up", 6, (5, 3))
+    for t in params.values():
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+    biased = {**params, "up.l0.b": as_tensor(0.3 * rng.normal(size=5)),
+              "up.l1.b": as_tensor(0.3 * rng.normal(size=3))}
+    diff, err = _fused_against_tape(lambda: _up(blend, coarse, skip, params, "up"),
+                                    lambda: _ref_up(blend, coarse, skip, biased, "up"),
+                                    [coarse, skip] + list(params.values()), rng)
+    assert diff <= 1e-12 and err <= 1e-10
 
 
 def _tape_nodes(loss):
@@ -844,7 +1007,7 @@ def _tape_nodes(loss):
 def test_loss_tape_stays_small():
     # criterion 06's layout: the tape-built layers made 639 nodes per loss
     # (one per concat, matmul, batch-norm step, ReLU and max); one node per
-    # set convolution and upsampling MLP makes 77, of which 34 are parameters
+    # set convolution and upsampling MLP makes 69, of which 26 are parameters
     cfg = NetworkConfig(levels=_GOOD_LEVELS, embedding_widths=(12,), embedding_radius=0.9,
                         smoothing_convs=1, upconv_widths=((10,), (8,), (6,)), seed=12)
     rng = np.random.default_rng(3)
