@@ -69,7 +69,7 @@ def load_particles(path: str) -> ParticleSet:
             raise ValueError(f"{path} is not a particle frame")
         (version,) = struct.unpack("<I", read(4))
         if version != 1:
-            raise ValueError(f"unsupported particle frame version {version}")
+            raise ValueError(f"{path}: unsupported particle frame version {version}")
         (count,) = struct.unpack("<Q", read(8))
         pos = np.frombuffer(read(12 * count), dtype="<f4").reshape(count, 3)
         vel = np.frombuffer(read(12 * count), dtype="<f4").reshape(count, 3)
@@ -114,7 +114,7 @@ def load_grid(path: str):
             raise ValueError(f"{path} is not a grid file")
         (version,) = struct.unpack("<I", read(4))
         if version != 1:
-            raise ValueError(f"unsupported grid version {version}")
+            raise ValueError(f"{path}: unsupported grid version {version}")
         (kind,) = struct.unpack("<B", read(1))
         origin = struct.unpack("<3d", read(24))
         (cell,) = struct.unpack("<d", read(8))

@@ -178,21 +178,40 @@ def farthest_point_indices(points: np.ndarray, n: int) -> np.ndarray:
     toward lexicographically smaller coordinates, so the sequence of sampled
     positions depends only on the point set, never on its order.
     """
+    return _farthest_point_sampling(points, n)[0]
+
+
+def _farthest_point_sampling(points: np.ndarray, n: int):
+    """`farthest_point_indices` and every point's final distance to the
+    sampled set. Distances are sqrt((dx*dx + dy*dy) + dz*dz) over
+    contiguous coordinate columns, the bits `np.linalg.norm` gives."""
     m = len(points)
     n = min(n, m)
-    first = lexical_order(points)[0]
-    chosen = [int(first)]
-    d = np.linalg.norm(points - points[first], axis=1)
+    x, y, z = np.ascontiguousarray(points.T)
+    first = int(lexical_order(points)[0])
+    chosen = [first]
+    d, near, sq = np.empty(m), np.empty(m), np.empty(m)
+
+    def dist_to(i, out):
+        np.subtract(x, x[i], out=out)
+        np.multiply(out, out, out=out)
+        for c in (y, z):
+            np.subtract(c, c[i], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(out, sq, out=out)
+        np.sqrt(out, out=out)
+
+    dist_to(first, d)
     for _ in range(1, n):
         top = d.max()
         cand = np.flatnonzero(d == top)
         if len(cand) > 1:
-            sub = points[cand]
-            cand = cand[lexical_order(sub)]
+            cand = cand[lexical_order(points[cand])]
         nxt = int(cand[0])
         chosen.append(nxt)
-        d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
-    return np.asarray(chosen, dtype=np.int64)
+        dist_to(nxt, near)
+        np.minimum(d, near, out=d)
+    return np.asarray(chosen, dtype=np.int64), d
 
 
 def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
@@ -311,7 +330,7 @@ def _layers(params: dict, prefix: str):
 
 
 def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
-                 stat_order: np.ndarray | None):
+                 stat_order: np.ndarray | None, record: bool = True):
     """Shared nonlinear map h on plain arrays: (Linear -> BatchNorm -> ReLU)
     per layer. The Linear has no bias, as the batch norm's mean subtraction
     would cancel it.
@@ -322,9 +341,16 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
     cloud itself, at inference too: running averages taken across training
     clouds diverged from the per-cloud normalization the network learns.
 
-    Keeps for `_mlp_backward` only the rows that reach the output (the valid
-    slots of a 3D input, every row of a 2D one): each layer's input, centred
-    values and ReLU mask there, and the per-channel std."""
+    With `record`, keeps for `_mlp_backward` only the rows that reach the
+    output (the valid slots of a 3D input, every row of a 2D one): each
+    layer's input, centred values and ReLU mask there, and the per-channel
+    std; without it, keeps nothing and returns `saved` as None.
+
+    The ReLU is pre * (pre > 0) + 0.0, where the + 0.0 turns -0.0 into 0.0:
+    on finite inputs these are the bits of np.where(pre > 0, pre, 0.0).
+    Inputs must be finite (`ParticleSet` admits no other positions or
+    velocities, and `train` stops at a non-finite loss); an inf or NaN
+    pre-activation would give NaN where np.where gives 0.0."""
     if valid is None:
         def keep(a):
             return a
@@ -335,7 +361,7 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
 
         def keep(a):
             return a.reshape(-1, a.shape[-1])[kept]
-    saved = []
+    saved = [] if record else None
     for w, gamma, beta in layers:
         if x.ndim == 3:
             n, k, c = x.shape
@@ -363,8 +389,11 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
         pre *= gamma.value
         pre += beta.value
         relu = pre > 0.0
-        saved.append((keep(x), keep(cen), keep(relu), std))
-        x = np.where(relu, pre, 0.0)
+        if record:
+            saved.append((keep(x), keep(cen), keep(relu), std))
+        np.multiply(pre, relu, out=pre)
+        pre += 0.0
+        x = pre
     return x, saved
 
 
@@ -396,19 +425,22 @@ def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
     tape node. Each part is (source tensor, idx, row scale or None) and
     contributes source[idx] (times scale per row)."""
     layers = _layers(params, prefix)
+    parents = [src for src, _, _ in parts] + [t for layer in layers for t in layer]
+    record = any(t.requires_grad for t in parents)
     valid = group.valid
     cols = []
     for src, idx, scale in parts:
         v = src.value[idx]
         cols.append(v if scale is None else v * scale[:, None, None])
     out, saved = _mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
-                              layers, valid, None)
-    n, _, c = out.shape
+                              layers, valid, None, record)
+    c = out.shape[2]
     neg = np.where(valid[:, :, None], out, -np.inf)
-    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
     any_valid = valid.any(axis=1)
-    rows, chans = np.arange(n)[:, None], np.arange(c)[None, :]
-    value = np.where(any_valid[:, None], neg[rows, arg, chans], 0.0)
+    value = np.where(any_valid[:, None], neg.max(axis=1), 0.0)
+    if not record:
+        return Tensor(value)
+    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
     # position of every valid slot among the kept rows; the max reads one
     # slot per (row, channel), so its gradient is a plain assignment
     slot = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
@@ -428,8 +460,7 @@ def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
                        if src.requires_grad else None)
             a = b
         return out + grads
-    return custom(value, [src for src, _, _ in parts]
-                  + [t for layer in layers for t in layer], backward)
+    return custom(value, parents, backward)
 
 
 def _down(g: Grouping, feats: Tensor, params: dict, prefix: str) -> Tensor:
@@ -451,10 +482,14 @@ def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tenso
     feature and passed through the MLP, as one tape node."""
     idx, weights, order = blend
     layers = _layers(params, prefix)
+    parents = [coarse, skip] + [t for layer in layers for t in layer]
+    record = any(t.requires_grad for t in parents)
     cc = coarse.value.shape[1]
     inp = np.concatenate([np.einsum("ik,ikc->ic", weights, coarse.value[idx]),
                           skip.value], axis=-1)
-    value, saved = _mlp_forward(inp, layers, None, order)
+    value, saved = _mlp_forward(inp, layers, None, order, record)
+    if not record:
+        return Tensor(value)
     hit = weights != 0.0
     hit_rows = np.nonzero(hit)[0]
 
@@ -465,7 +500,7 @@ def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tenso
             dc = _scatter_rows(idx[hit], weights[hit][:, None] * dx[hit_rows, :cc],
                                len(coarse.value))
         return [dc, dx[:, cc:]] + grads
-    return custom(value, [coarse, skip] + [t for layer in layers for t in layer], backward)
+    return custom(value, parents, backward)
 
 
 def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
@@ -547,6 +582,24 @@ def geometry_plan(x_l: np.ndarray, x_h: np.ndarray, config: NetworkConfig):
 
 # -- the assembled model --------------------------------------------------------
 
+def _apply(params: dict, config: NetworkConfig, plan, v_l: np.ndarray,
+           v_h: np.ndarray) -> Tensor:
+    """`DisplacementNet.apply` with the parameters given as tensors; a layer
+    keeps state for a backward pass only when one of its inputs requires
+    gradients."""
+    down_l, down_h, embed, smooth, up = plan
+    f_l, f_h = as_tensor(v_l), as_tensor(v_h)
+    skips = [f_l]
+    for i, (g_l, g_h) in enumerate(zip(down_l, down_h)):
+        f_l = _down(g_l, f_l, params, f"down{i}")
+        f_h = _down(g_h, f_h, params, f"down{i}")
+        skips.append(f_l)
+    feat = _embed(embed, smooth, f_l, f_h, params, "embed", config.smoothing_convs)
+    for j, blend in enumerate(up):
+        feat = _up(blend, feat, skips[-2 - j], params, f"up{j}")
+    return feat @ params["reg.W"] + params["reg.b"]
+
+
 class DisplacementNet:
     """Config + parameters, with forward/predict/checkpoint."""
 
@@ -600,22 +653,16 @@ class DisplacementNet:
     def apply(self, plan, v_l: np.ndarray, v_h: np.ndarray) -> Tensor:
         """The numeric half of a forward pass: displacements from a
         `geometry_plan` and the velocities of its low and high particles."""
-        down_l, down_h, embed, smooth, up = plan
-        params = self.params
-        f_l, f_h = as_tensor(v_l), as_tensor(v_h)
-        skips = [f_l]
-        for i, (g_l, g_h) in enumerate(zip(down_l, down_h)):
-            f_l = _down(g_l, f_l, params, f"down{i}")
-            f_h = _down(g_h, f_h, params, f"down{i}")
-            skips.append(f_l)
-        feat = _embed(embed, smooth, f_l, f_h, params, "embed", self.config.smoothing_convs)
-        for j, blend in enumerate(up):
-            feat = _up(blend, feat, skips[-2 - j], params, f"up{j}")
-        return feat @ params["reg.W"] + params["reg.b"]
+        return _apply(self.params, self.config, plan, v_l, v_h)
 
     def predict(self, x_l: ParticleSet, x_h: ParticleSet) -> np.ndarray:
-        """Displacements as a plain array."""
-        return self.forward(x_l, x_h).value
+        """Displacements as a plain array: the values of `forward`, bit for
+        bit, from a pass over constant views of the parameters that records
+        nothing for a backward pass."""
+        params = {k: Tensor(t.value) for k, t in self.params.items()}
+        return _apply(params, self.config,
+                      geometry_plan(x_l.positions, x_h.positions, self.config),
+                      x_l.velocities, x_h.velocities).value
 
     # -- checkpointing ---------------------------------------------------
 
@@ -665,7 +712,7 @@ class DisplacementNet:
             raise ValueError(f"{path} is not a displacement-net checkpoint")
         (version,) = struct.unpack("<I", read(4))
         if version != 1:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", read(4))
         text = read(clen)
         try:

@@ -40,29 +40,40 @@ class ParticleSet:
         return ParticleSet(self.positions.copy(), self.velocities.copy())
 
 
-def radius_pairs(points: np.ndarray, queries: np.ndarray, radius):
-    """Every (query, point) pair with d2 = sum((p - q)**2) <= radius**2 (one
-    radius, or one per query) as arrays (rows, cols, d2) grouped by row.
-    The cKDTree ball query runs on a radius 1e-9 larger, relatively, so its
-    own distance rounding loses no pair; d2 alone decides membership."""
-    radius = np.asarray(radius, dtype=np.float64)
-    lists = cKDTree(points).query_ball_point(queries, radius * (1.0 + 1e-9))
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    cols = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
-    rows = np.repeat(np.arange(len(queries)), counts)
+def radius_pairs(points: np.ndarray, queries: np.ndarray, radius: float):
+    """Every (query, point) pair with d2 = sum((p - q)**2) <= radius**2, as
+    arrays (rows, cols, d2) in no particular order. The cKDTree search runs
+    on a radius 1e-9 larger, relatively, so its own distance rounding loses
+    no pair; d2 alone decides membership."""
+    pairs = cKDTree(queries).sparse_distance_matrix(
+        cKDTree(points), radius * (1.0 + 1e-9), output_type="ndarray")
+    rows, cols = pairs["i"], pairs["j"]
     d2 = np.sum((points[cols] - queries[rows]) ** 2, axis=1)
-    keep = d2 <= (radius[rows] if radius.ndim else radius) ** 2
+    keep = d2 <= radius * radius
     return rows[keep], cols[keep], d2[keep]
 
 
 def nearest_points(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index of the nearest point for every query: the lowest index among the
-    points of least d2, as a brute-force argmin over d2 picks it. The
-    cKDTree distance bounds a ball whose members are re-checked by d2."""
-    dist, _ = cKDTree(points).query(queries)
-    rows, cols, d2 = radius_pairs(points, queries, dist * (1.0 + 1e-9))
-    order = np.lexsort((cols, d2, rows))
-    return cols[order][np.searchsorted(rows[order], np.arange(len(queries)))]
+    points of least d2 = sum((p - q)**2), as a brute-force argmin over d2
+    picks it. The cKDTree's nearest wins outright when its second nearest is
+    farther by a relative 1e-6, far beyond its distance rounding; for every
+    other query, all points within the nearest distance (plus 1e-9,
+    relatively) are re-checked by d2."""
+    tree = cKDTree(points)
+    dist, idx = tree.query(queries, k=2)
+    out = idx[:, 0].copy()
+    unsure = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-6))
+    if len(unsure):
+        q = queries[unsure]
+        lists = tree.query_ball_point(q, dist[unsure, 0] * (1.0 + 1e-9), return_sorted=False)
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        cols = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
+        rows = np.repeat(np.arange(len(q)), counts)
+        d2 = np.sum((points[cols] - q[rows]) ** 2, axis=1)
+        order = np.lexsort((cols, d2, rows))
+        out[unsure] = cols[order][np.searchsorted(rows[order], np.arange(len(q)))]
+    return out
 
 
 def advect_particles(p: ParticleSet, vel: MACGrid, dt: float) -> ParticleSet:

@@ -114,6 +114,26 @@ def test_oversized_counts_raise(tmp_path):
         uio.load_grid(str(path))
 
 
+
+@pytest.mark.parametrize("kind", ["particles", "grid"])
+def test_unsupported_version_names_the_file(tmp_path, kind):
+    # a version this reader does not know fails naming the file, as every
+    # other load failure does
+    path = tmp_path / f"v2_{kind}.bin"
+    if kind == "particles":
+        uio.save_particles(str(path), rand_particles(3))
+        load = uio.load_particles
+    else:
+        uio.save_grid(str(path), ScalarGrid(GridDesc((0, 0, 0), 0.5, (2, 2, 2)),
+                                            np.ones((2, 2, 2))))
+        load = uio.load_grid
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    with pytest.raises(ValueError, match="version 2") as err:
+        load(str(path))
+    assert str(path) in str(err.value)
+
+
 def _small_manifest():
     low = SimParams.for_domain(0.02, 1.5, (0, 0, 0), (0.5, 0.5, 0.5))
     high = SimParams.for_domain(0.012, 1.2, (0, 0, 0), (0.5, 0.5, 0.5))

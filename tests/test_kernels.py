@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,81 @@ def test_pruned_scatter_equals_full_window(lattice, free, h, origin, dims, suppo
         assert np.array_equal(wsum, ref_w)
         assert np.array_equal(acc, ref_a)
 
+
+
+def _scatter_offset_loop(positions, values, origin, h, dims, support):
+    """The pruned scatter as it was written before its one-bincount form:
+    one `np.add.at` pass per reachable offset."""
+    nx, ny, nz = dims
+    origin = np.asarray(origin)
+    wsum = np.zeros(dims)
+    acc = np.zeros(dims + (values.shape[1],))
+    pidx = np.floor((positions - origin) / h - 0.5).astype(np.int64)
+    reach = int(np.ceil(support / h)) + 1
+    window = range(-reach, reach + 1)
+    approach = {o: max(0, o - 1, -o) ** 2 for o in window}
+    limit = (support / h) ** 2 * (1.0 + 1e-9)
+    for dx in window:
+        for dy in window:
+            for dz in window:
+                if approach[dx] + approach[dy] + approach[dz] > limit:
+                    continue
+                cell = pidx + np.array([dx, dy, dz])
+                ok = np.all((cell >= 0) & (cell < np.array([nx, ny, nz])), axis=1)
+                if not ok.any():
+                    continue
+                cell = cell[ok]
+                centers = origin + (cell + 0.5) * h
+                d = np.linalg.norm(centers - positions[ok], axis=1)
+                w = kernel_k(d / support)
+                m = w > 0.0
+                if not m.any():
+                    continue
+                flat = (cell[m, 0] * ny + cell[m, 1]) * nz + cell[m, 2]
+                np.add.at(wsum.reshape(-1), flat, w[m])
+                np.add.at(acc.reshape(-1, acc.shape[-1]), flat, w[m][:, None] * values[ok][m])
+    return wsum, acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice=st.lists(st.tuples(_half_cells, _jitter), max_size=24),
+       free=st.lists(st.tuples(*[st.floats(-2.5, 6.5)] * 3), max_size=24),
+       h=st.sampled_from([0.1, 0.25, 1.0, 0.3]),
+       origin=st.sampled_from([(0.0, 0.0, 0.0), (-0.35, 0.1, 0.7)]),
+       dims=st.tuples(*[st.integers(1, 4)] * 3),
+       channels=st.sampled_from([1, 3, 5]),
+       support_cells=st.one_of(st.sampled_from([1.0, 1.5, 3.0]), st.floats(0.2, 3.5)))
+def test_scatter_equals_the_offset_loop(lattice, free, h, origin, dims, channels,
+                                        support_cells):
+    # one bincount over all terms adds each cell's terms in the order the
+    # per-offset passes did, so every sum keeps its bits; points on faces,
+    # on centers and outside the grid, and many points per cell
+    rel = [np.array(i) * 0.5 + j for i, j in lattice] + [np.array(f) for f in free]
+    if not rel:
+        return
+    rel = np.array(rel)
+    rel = np.concatenate([rel, rel[: len(rel) // 2]])        # repeated points too
+    x = np.asarray(origin) + rel * h
+    vals = np.cos(np.arange(len(x) * channels, dtype=np.float64)).reshape(len(x), channels)
+    vals[::3] *= -1e3
+    support = support_cells * h
+    got = kernel_scatter(x, vals, origin, h, dims, support)
+    want = _scatter_offset_loop(x, vals, origin, h, dims, support)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scatter_memory_at_100k_particles():
+    # the terms are gathered one offset at a time, in int32 indices: the
+    # transient stays a few times the particle arrays at the transfer support
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, size=(100_000, 3))
+    vals = rng.normal(size=(100_000, 3))
+    tracemalloc.start()
+    kernel_scatter(x, vals, (0.0, 0.0, 0.0), 1.0 / 48, (48, 48, 48), 1.5 / 48)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 100e6
 
 @pytest.mark.parametrize("support, h", [(0.0, 0.1), (-0.1, 0.1), (0.15, 0.0),
                                         (0.15, -0.1), (float("nan"), 0.1)])

@@ -10,8 +10,10 @@ from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
                     TrainingSample, loss_up)
 from upflow import io as uio
 from upflow.autodiff import Tensor, _unbroadcast, as_tensor, parameter
+from upflow import net as unet
 from upflow.net import (_BN_EPS, AdamState, DisplacementNet, FeatureSet, Grouping,
-                        LevelConfig, NetworkConfig, _init_mlp, _set_conv, _up,
+                        LevelConfig, NetworkConfig, _farthest_point_sampling,
+                        _init_mlp, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
                         flow_embedding, lexical_order, loss_gradients,
                         nearest_indices, neighborhood_assignment, sample_loss,
@@ -118,6 +120,42 @@ def test_fps_is_permutation_stable():
         perm = rng.permutation(40)
         sel_p = pts[perm][farthest_point_indices(pts[perm], 10)]
         assert np.array_equal(sel, sel_p)
+
+
+def _loop_farthest_point_indices(points, n):
+    """Farthest-point sampling as it was written before it ran over
+    coordinate columns, returning the final distances as well."""
+    m = len(points)
+    n = min(n, m)
+    first = lexical_order(points)[0]
+    chosen = [int(first)]
+    d = np.linalg.norm(points - points[first], axis=1)
+    for _ in range(1, n):
+        top = d.max()
+        cand = np.flatnonzero(d == top)
+        if len(cand) > 1:
+            sub = points[cand]
+            cand = cand[lexical_order(sub)]
+        nxt = int(cand[0])
+        chosen.append(nxt)
+        d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
+    return np.asarray(chosen, dtype=np.int64), d
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fps_equals_the_row_loop_on_ties_and_duplicates(seed):
+    # lattices tie distances at every step; repeated points tie at zero
+    rng = np.random.default_rng(seed)
+    lattice = rng.integers(-3, 4, size=(150, 3)) * 0.25
+    jittered = rng.uniform(size=(90, 3))
+    for pts in (lattice, np.concatenate([jittered, jittered[:40]]),
+                np.concatenate([lattice[:60], lattice[:60] + 1e-9])):
+        for n in (1, 7, 64, len(pts) + 5):
+            got_idx, got_d = _farthest_point_sampling(pts, n)
+            want_idx, want_d = _loop_farthest_point_indices(pts, n)
+            assert np.array_equal(got_idx, want_idx)
+            assert got_d.tobytes() == want_d.tobytes()
+            assert np.array_equal(farthest_point_indices(pts, n), want_idx)
 
 
 def test_fps_deterministic_and_spread():
@@ -342,6 +380,42 @@ def test_forward_shape_and_determinism():
     b = model.predict(xl, xh)
     assert a.shape == (32, 3)
     assert np.array_equal(a, b)
+
+
+def _default_pair(seed):
+    rng = np.random.default_rng(seed)
+    g = np.arange(0.0, 0.2, 0.02)
+    lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    xl = lattice + rng.uniform(-0.006, 0.006, size=lattice.shape)
+    xh = xl + 0.01 + rng.uniform(-0.003, 0.003, size=xl.shape)
+    return (ParticleSet(xl, rng.normal(size=xl.shape)),
+            ParticleSet(xh, rng.normal(size=xh.shape)))
+
+
+@pytest.mark.parametrize("make", ["tiny", "default"])
+def test_predict_is_forward_without_a_tape(make, monkeypatch):
+    # predict gives the bits of forward's values, builds no tape node and so
+    # keeps no layer state for a backward pass
+    if make == "tiny":
+        model, (xl, xh) = DisplacementNet.create(tiny_config(seed=3)), (cloud(40, 12), cloud(52, 13))
+    else:
+        xl, xh = _default_pair(14)
+        model = DisplacementNet.create(NetworkConfig.default(xl.count, 0.02, seed=4))
+    nodes = []
+    real_custom = unet.custom
+    monkeypatch.setattr(unet, "custom", lambda *a: nodes.append(1) or real_custom(*a))
+    tracemalloc.start()
+    want = model.forward(xl, xh).value
+    forward_peak = tracemalloc.get_traced_memory()[1]
+    forward_nodes = len(nodes)
+    tracemalloc.reset_peak()
+    got = model.predict(xl, xh)
+    predict_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert forward_nodes > 0 and len(nodes) == forward_nodes
+    assert predict_peak < forward_peak
+    assert all(t.requires_grad and t.grad is None for t in model.params.values())
 
 
 def test_forward_zero_params_outputs_bias():
@@ -657,6 +731,17 @@ def test_truncated_checkpoint_raises(tmp_path):
         assert str(path) in str(err.value), n
 
 
+
+def test_checkpoint_unsupported_version_names_the_file(tmp_path):
+    path = tmp_path / "v2.ffn"
+    DisplacementNet.create(tiny_config()).save(str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    with pytest.raises(ValueError, match="version 2") as err:
+        DisplacementNet.load(str(path))
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.ffn"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -919,6 +1004,33 @@ def test_fused_up_matches_the_tape(seed, widths, n_coarse, n_fine, radius, skip_
     assert diff == 0.0
     assert err <= 1e-10
 
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), widths=_widths, n=st.integers(1, 9),
+       k=st.integers(1, 6), fill=st.sampled_from([0.0, 0.3, 1.0]))
+def test_record_free_layers_give_the_tape_bits(seed, widths, n, k, fill):
+    # with no input requiring gradients the fused layers build no tape node,
+    # and their values are the reference's to the bit: the ReLU's product
+    # form leaves no -0.0 where np.where gives 0.0
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 4))
+    params = {}
+    _init_mlp(rng, params, "sc", c + 3, widths)
+    _init_mlp(rng, params, "up", c + 2, widths)
+    const = {key: as_tensor(t.value + 0.3 * rng.normal(size=t.value.shape))
+             for key, t in params.items()}
+    src = as_tensor(rng.normal(size=(n, c)))
+    group = Grouping(rng.integers(0, n, size=(n, k)), rng.uniform(size=(n, k)) < fill,
+                     rng.normal(size=(n, k, 3)))
+    blend = up_geometry(rng.uniform(size=(n, 3)), rng.uniform(size=(n + 2, 3)), 0.4,
+                        int(rng.integers(1, 5)))
+    skip = as_tensor(rng.normal(size=(n + 2, 2)))
+    for got, want in ((_set_conv([(src, group.idx, None)], group, const, "sc"),
+                       _ref_set_conv([_ref_gather(src, group.idx)], group, const, "sc")),
+                      (_up(blend, src, skip, const, "up"),
+                       _ref_up(blend, src, skip, const, "up"))):
+        assert not got.requires_grad and got._parents == ()
+        assert got.value.tobytes() == want.value.tobytes()
 
 def test_fused_layers_cover_the_fallback_and_empty_branches():
     # the hypothesis draws above reach these cases; pin one of each here
