@@ -128,20 +128,27 @@ def _grid_dims(text: str) -> tuple[int, int, int]:
     return dims
 
 
+def _epochs(text: str) -> int:
+    """argparse type of --epochs: an integer of at least 1."""
+    epochs = int(text)
+    if epochs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return epochs
+
+
 def _cmd_train(args):
+    net_cfg, opts = uio.parse_net_config(args.config)
     manifest = uio.read_manifest(args.manifest)
     samples = make_training_samples(manifest)
     if not samples:
         raise SystemExit("manifest produced no training samples")
-    net_cfg, opts = uio.parse_net_config(args.config)
     if net_cfg is None:
         n = max(s.x_l.count for s in samples)
         net_cfg = NetworkConfig.default(n, manifest.sim_low.particle_separation)
-    n_val = int(len(samples) * opts.get("val_fraction", 0.0))
+    n_val = int(len(samples) * opts.pop("val_fraction", 0.0))
     val = samples[:n_val]
     tr = samples[n_val:]
-    model, history = train_net(tr, net_cfg, args.epochs, val=val or None,
-                               lr=opts["lr"])
+    model, history = train_net(tr, net_cfg, args.epochs, val=val or None, **opts)
     model.save(args.ckpt)
     last_val = f", val {history['val'][-1]:.5f}" if history["val"] else ""
     print(f"trained {args.epochs} epochs on {len(tr)} samples: "
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the displacement network")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_epochs, required=True)
     p.add_argument("--ckpt", required=True)
     p.set_defaults(fn=_cmd_train)
 

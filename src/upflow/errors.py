@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import math
+
+
+def check_positive(name: str, value: float):
+    """Raise ValueError, naming the value, unless it is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class UpflowError(Exception):

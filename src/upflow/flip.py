@@ -1,8 +1,10 @@
 """Minimal FLIP/PIC liquid solver used to generate paired training scenes.
 
-One deliberately small solver: trilinear particle/grid transfers, a
-pressure projection solved with Jacobi-preconditioned CG, RK2 particle
-advection, and narrow-band resampling. Scenes are described by an obstacle
+One deliberately small solver: trilinear particle/grid transfers (the
+stencil of `grids.sample_trilinear` and its transpose
+`grids.scatter_trilinear`), solid faces masked once per solver, a pressure
+projection solved with Jacobi-preconditioned CG, RK2 particle advection,
+and narrow-band resampling. Scenes are described by an obstacle
 shape, an emitter, a container, and optionally an initial liquid volume so
 that parameter sweeps can enumerate simulation pairs.
 """
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SolverDiverged
-from .grids import (FACE_OFFSETS, GridDesc, MACGrid, ScalarGrid, extrapolate_mac, pcg,
-                    sample_trilinear)
+from .errors import SolverDiverged, check_positive
+from .grids import (GridDesc, MACGrid, ScalarGrid, extrapolate_mac, face_mask, pcg,
+                    sample_trilinear, scatter_trilinear)
 from .kernels import kernel_k
 from .particles import ParticleSet, advect_particles, hash_uniform, radius_pairs
 
@@ -40,12 +42,15 @@ class SimParams:
     max_particles: int = 200_000
 
     def __post_init__(self):
-        if self.particle_separation <= 0.0:
-            raise ValueError("particle_separation must be positive")
+        for name in ("particle_separation", "dt", "cfl", "pressure_tol"):
+            check_positive(name, getattr(self, name))
         if self.grid_scale < 1.0:
             raise ValueError("grid_scale must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 <= self.flip_ratio <= 1.0:
+            raise ValueError(f"flip_ratio must lie in [0, 1], got {self.flip_ratio}")
+        for name in ("particles_per_cell", "pressure_max_iter", "max_particles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def for_domain(cls, ps: float, gs: float, origin, extent, **kw) -> "SimParams":
@@ -126,32 +131,6 @@ def shape_sdf(shape: str, pos, size: float, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def _scatter_component(pos, val, origin, h, shape, offset):
-    """Trilinear scatter of one velocity component onto its face lattice."""
-    acc = np.zeros(shape)
-    wsum = np.zeros(shape)
-    t = (pos - origin) / h - np.asarray(offset)
-    t = np.clip(t, 0.0, np.asarray(shape) - 1.0)
-    i0 = np.minimum(np.floor(t).astype(np.int64), np.asarray(shape) - 2)
-    i0 = np.maximum(i0, 0)
-    f = t - i0
-    flat_acc = acc.reshape(-1)
-    flat_w = wsum.reshape(-1)
-    s1, s2 = shape[1], shape[2]
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
-        for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
-            for dz in (0, 1):
-                wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                w = wx * wy * wz
-                flat = ((i0[:, 0] + dx) * s1 + (i0[:, 1] + dy)) * s2 + (i0[:, 2] + dz)
-                np.add.at(flat_acc, flat, w * val)
-                np.add.at(flat_w, flat, w)
-    out = np.where(wsum > 0.0, acc / np.maximum(wsum, 1e-300), 0.0)
-    return out, wsum > 0.0
-
-
 class FlipSolver:
     """Steppable FLIP solver for a single scene/resolution combination."""
 
@@ -163,6 +142,7 @@ class FlipSolver:
         self.desc = params.domain
         self._check_geometry()
         self.solid = self._solid_mask()
+        self.solid_faces = [face_mask(self.solid, axis, True) for axis in range(3)]
         self.particles = self._seed_initial()
         self.last_fluid = np.zeros(self.desc.dims, dtype=bool)
 
@@ -266,30 +246,8 @@ class FlipSolver:
             fluid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
         return fluid & ~self.solid
 
-    def _particles_to_grid(self) -> MACGrid:
-        g = MACGrid.zeros(self.desc)
-        origin = np.asarray(self.desc.origin)
-        h = self.desc.cell_size
-        for c, (comp, off) in enumerate(zip(g.components(), FACE_OFFSETS)):
-            vals, _ = _scatter_component(self.particles.positions,
-                                         self.particles.velocities[:, c],
-                                         origin, h, comp.shape, off)
-            comp[...] = vals
-        return g
-
-    def _solid_faces(self):
-        masks = []
-        for axis in range(3):
-            pad = [(0, 0)] * 3
-            pad[axis] = (1, 1)
-            padded = np.pad(self.solid, pad, constant_values=True)
-            lo = padded[tuple(slice(0, -1) if a == axis else slice(None) for a in range(3))]
-            hi = padded[tuple(slice(1, None) if a == axis else slice(None) for a in range(3))]
-            masks.append(lo | hi)
-        return masks
-
     def _apply_boundary(self, g: MACGrid):
-        for comp, mask in zip(g.components(), self._solid_faces()):
+        for comp, mask in zip(g.components(), self.solid_faces):
             comp[mask] = 0.0
 
     def _divergence(self, g: MACGrid) -> np.ndarray:
@@ -346,7 +304,7 @@ class FlipSolver:
 
         pr = np.zeros(self.desc.dims)
         pr[fluid] = p
-        solid_u, solid_v, solid_w = self._solid_faces()
+        solid_u, solid_v, solid_w = self.solid_faces
         active = fluid
         gu = np.zeros_like(g.u)
         gu[1:-1, :, :] = (pr[1:, :, :] - pr[:-1, :, :]) / h
@@ -420,7 +378,8 @@ class FlipSolver:
         return SimFrame(self.particles.copy(), grid)
 
     def _substep(self, dt: float) -> MACGrid:
-        grid = self._particles_to_grid()
+        grid = scatter_trilinear(self.desc, self.particles.positions,
+                                 self.particles.velocities)
         self._apply_boundary(grid)
         old = grid.copy()
         g = np.asarray(self.params.gravity)

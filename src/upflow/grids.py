@@ -6,8 +6,10 @@ Conventions used throughout the package:
   ``origin + (i + 0.5) * cell_size``.
 - MAC velocity grids are face-staggered: the u component lives on x-faces
   (shape ``(nx+1, ny, nz)``), v on y-faces, w on z-faces.
-- All interpolation is trilinear; sample positions outside the grid clamp
-  to the boundary cell, which keeps narrow domains NaN-free.
+- All interpolation is trilinear, through one stencil: sampling gathers
+  with it and the particle-to-MAC scatter is its transpose. Positions
+  outside the grid clamp to the boundary cell, which keeps narrow domains
+  NaN-free.
 """
 
 from __future__ import annotations
@@ -161,32 +163,32 @@ class MACGrid:
         return max(np.abs(self.u).max(), np.abs(self.v).max(), np.abs(self.w).max())
 
 
-def _trilinear_gather(values: np.ndarray, t: np.ndarray):
-    """Trilinear interpolation of `values` at fractional indices `t` (n, 3).
-
-    Indices are clamped to the valid lattice, matching the boundary-clamp
-    sampling rule.
-    """
-    shape = np.asarray(values.shape[:3])
+def _trilinear_stencil(shape, t: np.ndarray):
+    """The eight (corner index, weight) pairs of trilinear interpolation at
+    fractional lattice indices `t` (n, 3) on a lattice of `shape`, in
+    (dx, dy, dz) order. Indices are clamped to the lattice, matching the
+    boundary-clamp sampling rule."""
+    shape = np.asarray(shape[:3])
     t = np.clip(t, 0.0, shape - 1.0)
-    i0 = np.floor(t).astype(np.int64)
-    i0 = np.minimum(i0, shape - 2)
-    i0 = np.maximum(i0, 0)
+    i0 = np.maximum(np.minimum(np.floor(t).astype(np.int64), shape - 2), 0)
     f = t - i0
-    i1 = i0 + 1
+    idx, wts = (i0, i0 + 1), (1.0 - f, f)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                yield ((idx[dx][:, 0], idx[dy][:, 1], idx[dz][:, 2]),
+                       wts[dx][:, 0] * wts[dy][:, 1] * wts[dz][:, 2])
+
+
+def _trilinear_gather(values: np.ndarray, t: np.ndarray):
+    """Trilinear interpolation of `values` at fractional indices `t` (n, 3)."""
     out = None
-    for dx, wx in ((0, 1.0 - f[:, 0]), (1, f[:, 0])):
-        ix = i0[:, 0] if dx == 0 else i1[:, 0]
-        for dy, wy in ((0, 1.0 - f[:, 1]), (1, f[:, 1])):
-            iy = i0[:, 1] if dy == 0 else i1[:, 1]
-            for dz, wz in ((0, 1.0 - f[:, 2]), (1, f[:, 2])):
-                iz = i0[:, 2] if dz == 0 else i1[:, 2]
-                w = wx * wy * wz
-                vals = values[ix, iy, iz]
-                if vals.ndim > 1:
-                    w = w[:, None]
-                contrib = w * vals
-                out = contrib if out is None else out + contrib
+    for corner, w in _trilinear_stencil(values.shape, t):
+        vals = values[corner]
+        if vals.ndim > 1:
+            w = w[:, None]
+        contrib = w * vals
+        out = contrib if out is None else out + contrib
     return out
 
 
@@ -220,12 +222,29 @@ def sample_trilinear(grid, x: np.ndarray):
     return out[0] if single else out
 
 
-def _face_liquid_mask(phi: np.ndarray, axis: int) -> np.ndarray:
-    """A face is 'known' when at least one adjacent cell is liquid (phi <= 0)."""
-    liquid = phi <= 0.0
+def scatter_trilinear(desc: GridDesc, x: np.ndarray, vectors: np.ndarray) -> MACGrid:
+    """The transpose of `sample_trilinear` on the MAC layout of `desc`: each
+    position of `x` (n, 3) spreads component c of its row of `vectors` onto
+    the c-faces with its trilinear weights. A face holds the weighted mean
+    of what reaches it, or zero when nothing does."""
+    g = MACGrid.zeros(desc)
+    base = (x - np.asarray(desc.origin)) / desc.cell_size
+    for c, (comp, off) in enumerate(zip(g.components(), FACE_OFFSETS)):
+        acc, wsum = np.zeros(comp.size), np.zeros(comp.size)
+        for corner, w in _trilinear_stencil(comp.shape, base - np.asarray(off)):
+            flat = np.ravel_multi_index(corner, comp.shape)
+            np.add.at(acc, flat, w * vectors[:, c])
+            np.add.at(wsum, flat, w)
+        comp.reshape(-1)[:] = np.where(wsum > 0.0, acc / np.maximum(wsum, 1e-300), 0.0)
+    return g
+
+
+def face_mask(flagged: np.ndarray, axis: int, border: bool) -> np.ndarray:
+    """The faces normal to `axis` that touch a flagged cell. A face on the
+    grid border touches one cell only; `border` stands in for the other."""
     pad = [(0, 0)] * 3
     pad[axis] = (1, 1)
-    padded = np.pad(liquid, pad, constant_values=False)
+    padded = np.pad(flagged, pad, constant_values=border)
     lo = padded[tuple(slice(0, -1) if a == axis else slice(None) for a in range(3))]
     hi = padded[tuple(slice(1, None) if a == axis else slice(None) for a in range(3))]
     return lo | hi
@@ -263,7 +282,7 @@ def extrapolate_mac(vel: MACGrid, phi: ScalarGrid, d_mac: int) -> MACGrid:
     comps = [out.u, out.v, out.w]
     for axis in range(3):
         vals = comps[axis]
-        known = _face_liquid_mask(phi.values, axis)
+        known = face_mask(phi.values <= 0.0, axis, False)
         for _ in range(d_mac):
             vals, known = _propagate_layer(vals, known)
         comps[axis][...] = vals

@@ -25,18 +25,18 @@ from .net import DisplacementNet
 from .particles import ParticleSet, advect_particles, advect_positions
 from .sdf import sdf_from_particles, surface_radius
 
+_D_MAC = 2          # input velocities extend this many cells beyond the liquid
+
 
 @dataclass
 class InferenceConfig:
     """Knobs of the up-resing pass (defaults follow the desk-scale setup)."""
 
     d_b: int = 2                       # narrow-band width in cells
-    d_mac: int = 2                     # velocity extrapolation distance in cells
     passes: int = 3
     depths: tuple[float, ...] = (0.25, 0.5, 0.75)   # band-depth fractions per pass
     r_h: tuple[int, int, int] | None = None          # SDF upscale dims (augmentation)
     band_target_per_cell: int = 16
-    transfer_radius_cells: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
@@ -55,9 +55,9 @@ def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc,
                      radius: float | None = None):
     """Kernel-weighted scatter of per-particle displacements to cell centers.
 
-    Returns (DeformationField, covered_mask); cells no particle reaches hold
-    zero and are flagged uncovered. Raises ValueError for a non-positive
-    radius.
+    Each particle reaches `radius` (default 1.5 cells). Returns
+    (DeformationField, covered_mask); cells no particle reaches hold zero
+    and are flagged uncovered. Raises ValueError for a non-positive radius.
     """
     omega = np.asarray(omega, dtype=np.float64).reshape(-1, 3)
     if len(omega) != x.count:
@@ -123,8 +123,7 @@ def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid,
     advanced_pos = advect_positions(x_band.positions, u_mac, dt)
     advanced = ParticleSet(advanced_pos, sample_trilinear(u_mac, advanced_pos))
     omega = model.predict(x_band, advanced)
-    field, _ = transfer_to_grid(x_band, omega, desc,
-                                radius=cfg.transfer_radius_cells * desc.cell_size)
+    field, _ = transfer_to_grid(x_band, omega, desc)
     return field
 
 
@@ -185,7 +184,7 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
     # displacements act as velocities over one frame when mixed with u_mac
     vel_field = DeformationField(avg.desc, avg.vectors / dt)
     u_hat = resample_of_to_mac(vel_field, u_mac)
-    u_ext = extrapolate_mac(u_mac, phi, cfg.d_mac)
+    u_ext = extrapolate_mac(u_mac, phi, _D_MAC)
     injected = inject_motion(u_hat, u_ext)
     advect_field = MACGrid(u_mac.desc,
                            u_ext.u + injected.u,

@@ -26,6 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .dataset import DatasetManifest, PairRecord, ParamMatrix
+from .errors import check_positive
 from .flip import SceneSpec, SimFrame, SimParams
 from .grids import DeformationField, GridDesc, MACGrid, ScalarGrid
 from .net import LevelConfig, NetworkConfig
@@ -161,6 +162,21 @@ def _float_lists(s: str) -> list[tuple[float, ...]]:
     return [_floats(part) for part in s.split(";") if part.strip() != ""]
 
 
+def _present(sec, converters: dict) -> dict:
+    """The entries of `sec` named in `converters`, converted; the dataclass
+    the caller builds keeps its own default for every other field."""
+    return {k: conv(sec[k]) for k, conv in converters.items() if k in sec}
+
+
+def _in_section(path: str, section: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a ValueError's message prefixed by the
+    file and the section it came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {exc}") from exc
+
+
 # -- SimParams / SceneSpec sections ----------------------------------------------
 
 def _sim_to_section(cfg, section: str, params: SimParams):
@@ -181,21 +197,27 @@ def _sim_to_section(cfg, section: str, params: SimParams):
     }
 
 
+# SimParams fields after the domain: a manifest stores all of them, a
+# dataset config's track sections may set four
+_SIM_FIELDS = {"gravity": _floats, "flip_ratio": float, "dt": float,
+               "particles_per_cell": int, "cfl": float, "pressure_tol": float,
+               "pressure_max_iter": int, "max_particles": int}
+_CONFIG_SIM_FIELDS = {k: _SIM_FIELDS[k] for k in
+                      ("gravity", "flip_ratio", "dt", "particles_per_cell")}
+# SceneSpec fields a [scenes] section may set; a manifest pair also stores
+# the placement the parameter matrix varies
+_SCENE_FIELDS = {"obstacle_size": float, "emit_rate": int, "emit_speed": float,
+                 "emit_radius": float, "pool_depth": float,
+                 "liquid_shape": lambda s: s or None, "liquid_position": _floats,
+                 "liquid_size": float}
+_PLACEMENT_FIELDS = {"obstacle_shape": str, "obstacle_position": _floats,
+                     "emitter_position": _floats, "container_dims": _floats}
+
+
 def _sim_from_section(sec) -> SimParams:
     desc = GridDesc(_floats(sec["origin"]), float(sec["cell_size"]), _ints(sec["dims"]))
-    return SimParams(
-        particle_separation=float(sec["ps"]),
-        grid_scale=float(sec["gs"]),
-        domain=desc,
-        gravity=_floats(sec["gravity"]),
-        flip_ratio=float(sec["flip_ratio"]),
-        dt=float(sec["dt"]),
-        cfl=float(sec["cfl"]),
-        particles_per_cell=int(sec["particles_per_cell"]),
-        pressure_tol=float(sec["pressure_tol"]),
-        pressure_max_iter=int(sec["pressure_max_iter"]),
-        max_particles=int(sec["max_particles"]),
-    )
+    return SimParams(float(sec["ps"]), float(sec["gs"]), desc,
+                     **{k: conv(sec[k]) for k, conv in _SIM_FIELDS.items()})
 
 
 def _scene_to_dict(scene: SceneSpec) -> dict[str, str]:
@@ -207,20 +229,8 @@ def _scene_to_dict(scene: SceneSpec) -> dict[str, str]:
 
 
 def _scene_from_section(sec) -> SceneSpec:
-    return SceneSpec(
-        obstacle_shape=sec["obstacle_shape"],
-        obstacle_position=_floats(sec["obstacle_position"]),
-        emitter_position=_floats(sec["emitter_position"]),
-        container_dims=_floats(sec["container_dims"]),
-        obstacle_size=float(sec["obstacle_size"]),
-        emit_rate=int(sec["emit_rate"]),
-        emit_speed=float(sec["emit_speed"]),
-        emit_radius=float(sec["emit_radius"]),
-        pool_depth=float(sec["pool_depth"]),
-        liquid_shape=sec["liquid_shape"] or None,
-        liquid_position=_floats(sec["liquid_position"]),
-        liquid_size=float(sec["liquid_size"]),
-    )
+    return SceneSpec(**{k: conv(sec[k]) for k, conv in
+                        {**_PLACEMENT_FIELDS, **_SCENE_FIELDS}.items()})
 
 
 # -- manifest -------------------------------------------------------------------
@@ -282,8 +292,8 @@ def read_manifest(path: str) -> DatasetManifest:
         cfg.read_file(f)
     manifest = DatasetManifest(
         name=cfg["manifest"]["name"],
-        sim_low=_sim_from_section(cfg["sim.low"]),
-        sim_high=_sim_from_section(cfg["sim.high"]),
+        sim_low=_in_section(path, "sim.low", _sim_from_section, cfg["sim.low"]),
+        sim_high=_in_section(path, "sim.high", _sim_from_section, cfg["sim.high"]),
     )
     n = int(cfg["manifest"]["num_pairs"])
     for i in range(n):
@@ -323,31 +333,14 @@ def parse_dataset_config(path: str):
         emitter_positions=_float_lists(sc["emitter_positions"]),
         container_dims=_float_lists(sc["container_dims"]),
     )
-    defaults = SceneSpec(
-        obstacle_size=float(sc.get("obstacle_size", "0.12")),
-        emit_rate=int(sc.get("emit_rate", "0")),
-        emit_speed=float(sc.get("emit_speed", "1.5")),
-        emit_radius=float(sc.get("emit_radius", "0.06")),
-        pool_depth=float(sc.get("pool_depth", "0.0")),
-        liquid_shape=sc.get("liquid_shape", "") or None,
-        liquid_position=_floats(sc.get("liquid_position", "0.5,0.65,0.5")),
-        liquid_size=float(sc.get("liquid_size", "0.15")),
-    )
+    defaults = _in_section(path, "scenes", SceneSpec, **_present(sc, _SCENE_FIELDS))
 
     def sim_from(name: str) -> SimParams:
         sec = cfg[name]
-        ps, gs = float(sec["ps"]), float(sec["gs"])
-        kw = {}
-        if "gravity" in sec:
-            kw["gravity"] = _floats(sec["gravity"])
-        if "flip_ratio" in sec:
-            kw["flip_ratio"] = float(sec["flip_ratio"])
-        if "dt" in sec:
-            kw["dt"] = float(sec["dt"])
-        if "particles_per_cell" in sec:
-            kw["particles_per_cell"] = int(sec["particles_per_cell"])
-        return SimParams.for_domain(ps, gs, _floats(sec.get("origin", "0,0,0")),
-                                    _floats(sec.get("extent", "1,1,1")), **kw)
+        return _in_section(path, name, SimParams.for_domain, float(sec["ps"]),
+                           float(sec["gs"]), _floats(sec.get("origin", "0,0,0")),
+                           _floats(sec.get("extent", "1,1,1")),
+                           **_present(sec, _CONFIG_SIM_FIELDS))
 
     return (ds.get("name", "Colliding"), int(ds.get("frames", "4")),
             int(ds.get("seed", "0")), theta, defaults,
@@ -360,7 +353,8 @@ def parse_net_config(path: str):
     """Parse a training config; returns (NetworkConfig | None, train options).
 
     When the [net] section is omitted the caller should derive a default
-    configuration from the data.
+    configuration from the data. The train options hold the `lr` and
+    `val_fraction` entries of the [train] section, where given.
     """
     cfg = configparser.ConfigParser()
     with open(path) as f:
@@ -377,25 +371,22 @@ def parse_net_config(path: str):
         if len(set(lengths.values())) > 1:
             raise ValueError(f"{path}: [net] needs one entry per level in each of "
                              + ", ".join(f"{k} ({n})" for k, n in lengths.items()))
-        max_nb = int(sec.get("max_neighbors", "32"))
-        levels = tuple(LevelConfig(c, r, tuple(w), max_nb)
+        level_kw = _present(sec, {"max_neighbors": int})
+        levels = tuple(LevelConfig(c, r, tuple(w), **level_kw)
                        for c, r, w in zip(counts, radii, widths))
-        try:
-            net_cfg = NetworkConfig(
-                levels=levels,
-                embedding_widths=tuple(_ints(sec.get("embedding_widths", "128"))),
-                embedding_radius=float(sec["embedding_radius"]),
-                smoothing_convs=int(sec.get("smoothing_convs", "2")),
-                upconv_widths=up,
-                seed=int(sec.get("seed", "0")),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: [net] {exc}") from exc
-    train_opts = {"lr": 1e-3, "val_fraction": 0.0}
+        net_cfg = _in_section(path, "net", NetworkConfig, levels=levels,
+                              embedding_radius=float(sec["embedding_radius"]),
+                              upconv_widths=up,
+                              **_present(sec, {"embedding_widths": _ints,
+                                               "smoothing_convs": int, "seed": int}))
+    train_opts = {}
     if cfg.has_section("train"):
-        sec = cfg["train"]
-        train_opts["lr"] = float(sec.get("lr", "1e-3"))
-        train_opts["val_fraction"] = float(sec.get("val_fraction", "0.0"))
+        train_opts = _present(cfg["train"], {"lr": float, "val_fraction": float})
+        if "lr" in train_opts:
+            _in_section(path, "train", check_positive, "lr", train_opts["lr"])
+        vf = train_opts.get("val_fraction", 0.0)
+        if not 0.0 <= vf < 1.0:
+            raise ValueError(f"{path}: [train] val_fraction must lie in [0, 1), got {vf}")
     return net_cfg, train_opts
 
 

@@ -33,17 +33,17 @@ def _reference(ref_displacements) -> np.ndarray:
 
 
 def epe(pred_positions, pred_displacements, ref_positions, ref_displacements,
-        exclude_static: bool = False, static_threshold: float = 1e-8) -> float:
+        exclude_static: bool = False) -> float:
     """Mean L2 distance between matched displacement vectors.
 
     With `exclude_static`, reference particles whose own displacement
-    magnitude is at most `static_threshold` are left out of the mean.
+    magnitude is at most 1e-8 are left out of the mean.
     """
     pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
     ref_displacements = _reference(ref_displacements)
     keep = np.ones(len(ref_displacements), dtype=bool)
     if exclude_static:
-        keep = np.linalg.norm(ref_displacements, axis=1) > static_threshold
+        keep = np.linalg.norm(ref_displacements, axis=1) > 1e-8
         if not keep.any():
             return 0.0
     m = match_nearest(pred_positions, np.asarray(ref_positions).reshape(-1, 3)[keep])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, custom, parameter
-from .errors import CenterMismatch, LengthMismatch, NonFiniteLoss
+from .errors import CenterMismatch, LengthMismatch, NonFiniteLoss, check_positive
 from .kernels import kernel_k
 from .particles import ParticleSet, nearest_points, radius_pairs
 
@@ -47,11 +47,6 @@ def _check_widths(name: str, widths):
                          f"got {tuple(widths)}")
 
 
-def _check_radius(name: str, radius: float):
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {radius}")
-
-
 @dataclass
 class NetworkConfig:
     """Layer counts, radii, and MLP widths of the displacement network."""
@@ -68,7 +63,7 @@ class NetworkConfig:
             raise ValueError("at least one downsampling level is required")
         for i, lv in enumerate(self.levels):
             _check_widths(f"levels[{i}].widths", lv.widths)
-            _check_radius(f"levels[{i}].radius", lv.radius)
+            check_positive(f"levels[{i}].radius", lv.radius)
             for name in ("count", "max_neighbors"):
                 if getattr(lv, name) < 1:
                     raise ValueError(f"levels[{i}].{name} must be >= 1, "
@@ -78,7 +73,7 @@ class NetworkConfig:
                 raise ValueError(
                     f"level counts must at least halve: {a.count} -> {b.count}")
         _check_widths("embedding_widths", self.embedding_widths)
-        _check_radius("embedding_radius", self.embedding_radius)
+        check_positive("embedding_radius", self.embedding_radius)
         if self.smoothing_convs < 0:
             raise ValueError(f"smoothing_convs must be >= 0, got {self.smoothing_convs}")
         if len(self.upconv_widths) != len(self.levels):
@@ -262,12 +257,13 @@ def _init_mlp(rng, params, prefix: str, in_dim: int, widths):
 @dataclass
 class Grouping:
     """Neighbor table (idx, valid) of one set convolution and each neighbor's
-    offset from its row's point; a downsampling level adds its output points
-    `xbar` and feature scales |center - xbar|."""
+    offset from its row's point; a downsampling level adds its query
+    `centers`, its output points `xbar` and feature scales |center - xbar|."""
 
     idx: np.ndarray
     valid: np.ndarray
     offsets: np.ndarray
+    centers: np.ndarray | None = None
     xbar: np.ndarray | None = None
     scale: np.ndarray | None = None
 
@@ -283,7 +279,7 @@ def down_geometry(points: np.ndarray, centers: np.ndarray, level: LevelConfig) -
     xbar = np.einsum("nk,nkc->nc", wn, npos)
     xbar = np.where(has[:, None], xbar, centers)
     scale = np.linalg.norm(centers - xbar, axis=1)          # per-neighborhood |x - xbar|
-    return Grouping(idx, valid, npos - centers[:, None, :], xbar, scale)
+    return Grouping(idx, valid, npos - centers[:, None, :], centers, xbar, scale)
 
 
 def embedding_geometry(low: np.ndarray, high: np.ndarray, radius: float,
@@ -748,11 +744,9 @@ class DisplacementNet:
         return cls(config, {k: parameter(v) for k, v in params.items()})
 
 
-def neighborhood_assignment(positions: np.ndarray, config: NetworkConfig):
+def neighborhood_assignment(positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Map each particle to its nearest first-level neighborhood center."""
-    centers = positions[farthest_point_indices(positions, config.levels[0].count)]
-    assign = nearest_indices(centers, positions)
-    return assign, centers
+    return nearest_indices(centers, positions)
 
 
 # -- loss and training ----------------------------------------------------------
@@ -782,12 +776,14 @@ def sample_plan(sample: TrainingSample, config: NetworkConfig):
     """The geometry of one sample's loss: plans of the forward pass on
     (x_l, x_h) and of the cycle pass on (x_l + ground truth, x_l), each low
     particle's first-level neighborhood, and every neighborhood's mean
-    lambda weight."""
-    forward = geometry_plan(sample.x_l.positions, sample.x_h.positions, config)
-    displaced = ParticleSet(sample.x_l.positions + sample.gt_displacement,
-                            sample.x_l.velocities)
-    cycle = geometry_plan(displaced.positions, sample.x_l.positions, config)
-    assign, centers = neighborhood_assignment(sample.x_l.positions, config)
+    lambda weight. The neighborhoods are those of the forward plan's first
+    low downsampling, so each point set is sampled once."""
+    x_l = sample.x_l.positions
+    forward = geometry_plan(x_l, sample.x_h.positions, config)
+    displaced = ParticleSet(x_l + sample.gt_displacement, sample.x_l.velocities)
+    cycle = geometry_plan(displaced.positions, x_l, config)
+    centers = forward[0][0].centers
+    assign = neighborhood_assignment(x_l, centers)
     lam = np.bincount(assign, weights=sample.lambda_weights, minlength=len(centers))
     counts = np.bincount(assign, minlength=len(centers))
     lam = np.where(counts > 0, lam / np.maximum(counts, 1.0), 0.0)
@@ -823,24 +819,27 @@ def loss_gradients(model: DisplacementNet, sample: TrainingSample):
 
 
 class AdamState:
-    """Adaptive-moment update, bias-corrected."""
+    """Adaptive-moment update, bias-corrected, with the usual moment decays
+    0.9 and 0.999 and denominator guard 1e-8."""
 
-    def __init__(self, model: DisplacementNet, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: DisplacementNet, lr: float):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in model.params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in model.params.items()}
 
     def step(self, model: DisplacementNet, grads: dict):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.BETA1, self.BETA2
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for k in sorted(model.params):
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            update = (self.m[k] / b1t) / (np.sqrt(self.v[k] / b2t) + self.eps)
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            update = (self.m[k] / b1t) / (np.sqrt(self.v[k] / b2t) + self.EPS)
             model.params[k].value -= self.lr * update
 
 
@@ -858,10 +857,15 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
     The learning rate anneals on a cosine from `lr` to `lr * lr_decay`.
     Returns (model, history) with per-epoch mean train loss and, when a
     validation list is given, per-epoch validation loss. The geometry of
-    every sample is built once, before the first epoch.
+    every sample is built once, before the first epoch. Raises ValueError
+    for an empty dataset, `epochs` below 1, or an `lr` that is not positive
+    and finite.
     """
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    check_positive("lr", lr)
     plans = [sample_plan(s, config) for s in dataset]
     val_plans = [sample_plan(s, config) for s in val or ()]
     model = DisplacementNet.create(config)

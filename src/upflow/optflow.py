@@ -14,7 +14,9 @@ assembled over the whole space-time stack (time is a fourth lattice axis of
 the smoothness term). The solved field maps the source surface onto the
 destination: displacing source geometry by +u reproduces the destination.
 The diagonal penalty D concentrates the solve on topologically complex cells
-near matched surface feature points.
+near matched surface feature points: each complex cell's nearest feature
+point in space-time, (x, y, z, t * dt), comes from
+`particles.nearest_points`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import CGNotConverged, GridMismatch, NoSurface
 from .grids import DeformationField, ScalarGrid, pcg, sample_trilinear
-from .particles import ParticleSet
+from .particles import ParticleSet, nearest_points
 
 
 @dataclass
@@ -37,7 +38,6 @@ class FlowParams:
     beta_s: float = 0.5           # smoothness weight, >= 0
     beta_t: float = 1e-3          # Tikhonov weight, > 0 (keeps A positive definite)
     alpha_feat: float = 1.0       # feature-point threshold coefficient
-    time_scale: float = 1.0       # metric weight of the time axis in 4D distances
     cg_tol: float = 1e-8          # relative residual target
     cg_max_iter: int = 5000
 
@@ -190,13 +190,12 @@ def _laplacian(values: np.ndarray, h: float) -> np.ndarray:
     return lap / (h * h)
 
 
-def feature_points(st: SpaceTimeSDF, alpha_feat: float,
-                   time_scale: float = 1.0) -> np.ndarray:
+def feature_points(st: SpaceTimeSDF, alpha_feat: float) -> np.ndarray:
     """Surface-band cells whose |curvature| sticks out of the band distribution.
 
     Curvature is approximated by the SDF Laplacian on the |phi| <= 2h band;
     cells above mean + alpha_feat * stddev of the band's |curvature| are
-    returned as 4D points (x, y, z, t * dt * time_scale). A constant
+    returned as 4D points (x, y, z, t * dt). A constant
     distribution (stddev ~ 0) yields no feature points.
 
     Raises NoSurface when no frame has a zero crossing.
@@ -229,7 +228,7 @@ def feature_points(st: SpaceTimeSDF, alpha_feat: float,
         sel = band & (curv > thresh)
         if sel.any():
             xyz = centers[sel]
-            tt = np.full((len(xyz), 1), t * st.dt * time_scale)
+            tt = np.full((len(xyz), 1), t * st.dt)
             pts.append(np.concatenate([xyz, tt], axis=1))
     return np.concatenate(pts) if pts else np.zeros((0, 4))
 
@@ -239,17 +238,17 @@ def alignment_penalty(lo: SpaceTimeSDF, hi: SpaceTimeSDF,
     """Inverse-distance penalty on the source's complex cells.
 
     Each complex cell of `lo` gets d = 1 / max(dist, eps) where dist is the
-    4D distance (time scaled by time_scale) to the nearest feature point of
-    `hi`; eps is one cell size. Everything else is zero.
+    4D distance sqrt(sum((f - q)**2)) from its point q = (x, y, z, t * dt)
+    to the nearest feature point f of `hi`; eps is one cell size.
+    Everything else is zero.
     """
     if lo.desc != hi.desc or lo.num_frames != hi.num_frames:
         raise GridMismatch("aligned stacks must share grid and frame count")
     desc = lo.desc
     d = np.zeros((lo.num_frames,) + desc.dims)
-    feats = feature_points(hi, params.alpha_feat, params.time_scale)
+    feats = feature_points(hi, params.alpha_feat)
     if len(feats) == 0:
         return AlignmentPenalty(d)
-    tree = cKDTree(feats)
     centers = desc.cell_centers()
     eps = desc.cell_size
     for t, frame in enumerate(lo.frames):
@@ -257,9 +256,8 @@ def alignment_penalty(lo: SpaceTimeSDF, hi: SpaceTimeSDF,
         if not cc.any():
             continue
         xyz = centers[cc]
-        q = np.concatenate(
-            [xyz, np.full((len(xyz), 1), t * lo.dt * params.time_scale)], axis=1)
-        dist, _ = tree.query(q)
+        q = np.concatenate([xyz, np.full((len(xyz), 1), t * lo.dt)], axis=1)
+        dist = np.sqrt(np.sum((feats[nearest_points(feats, q)] - q) ** 2, axis=1))
         d[t][cc] = 1.0 / np.maximum(dist, eps)
     return AlignmentPenalty(d)
 

@@ -1,4 +1,9 @@
-"""Particle state, cKDTree neighbour queries, and particle advection."""
+"""Particle state, neighbour queries, and particle advection.
+
+This module holds the package's one neighbour search: every radius or
+nearest-point query, in any dimension, goes through `radius_pairs` or
+`nearest_points`, and no other module builds a cKDTree.
+"""
 
 from __future__ import annotations
 

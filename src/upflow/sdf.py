@@ -82,18 +82,16 @@ def _eikonal_update(u: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(u, x)
 
 
-def redistance(phi: np.ndarray, frozen: np.ndarray, h: float,
-               max_iters: int | None = None) -> np.ndarray:
+def redistance(phi: np.ndarray, frozen: np.ndarray, h: float) -> np.ndarray:
     """Rebuild |phi| as a distance from the frozen interface band, keeping signs.
 
     `frozen` cells keep their values exactly; all other magnitudes are solved
-    from the eikonal equation.
+    from the eikonal equation, in at most twice the sum of the grid's
+    dimensions Jacobi passes.
     """
     sign = np.where(phi <= 0.0, -1.0, 1.0)
     u = np.where(frozen, np.abs(phi), _FAR)
-    if max_iters is None:
-        max_iters = 2 * int(sum(phi.shape))
-    for _ in range(max_iters):
+    for _ in range(2 * int(sum(phi.shape))):
         nxt = _eikonal_update(u, h)
         nxt = np.where(frozen, u, nxt)
         if np.max(np.abs(nxt - u)) < 1e-12 * h:
@@ -109,14 +107,14 @@ def surface_radius(desc: GridDesc) -> float:
     return 0.75 * desc.cell_size
 
 
-def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float | None = None,
-                       support_scale: float = 2.0) -> ScalarGrid:
+def sdf_from_particles(p: ParticleSet, desc: GridDesc,
+                       radius: float | None = None) -> ScalarGrid:
     """Signed distance field of the particle liquid on `desc`.
 
     Negative inside, positive outside; values near the zero level set come
     from the blended-sphere construction, values farther out from
     redistancing. Spheres have `radius` (default `surface_radius(desc)`),
-    and the blend reaches `support_scale * radius` from each particle.
+    and the blend reaches twice the radius from each particle.
 
     Requires at least one particle.
     """
@@ -126,8 +124,7 @@ def sdf_from_particles(p: ParticleSet, desc: GridDesc, radius: float | None = No
         raise ValueError("cannot build an SDF from an empty particle set")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    support = support_scale * radius
-    phi, covered = _blended_sphere_field(p, desc, radius, support)
+    phi, covered = _blended_sphere_field(p, desc, radius, 2.0 * radius)
     # outside the footprint the liquid cannot reach: positive far field
     phi = np.where(covered, phi, _FAR)
     frozen = _interface_cells(np.where(covered, phi, _FAR)) & covered

@@ -281,6 +281,18 @@ def test_train_and_infer_and_eval(workspace):
                  "--threshold", "0.1"]) == 0
 
 
+@pytest.mark.parametrize("epochs", ["0", "-3", "two"])
+def test_train_rejects_fewer_than_one_epoch(workspace, tmp_path, capsys, epochs):
+    _, ds, net_cfg = workspace
+    ckpt = tmp_path / "model.ffn"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", str(ds), "--config", str(net_cfg),
+              "--epochs", epochs, "--ckpt", str(ckpt)])
+    assert exc.value.code == 2
+    assert "--epochs" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_export_obj_cli(workspace):
     root, ds, _ = workspace
     out = root / "objs"

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from upflow import (FlipSolver, GridDesc, ParticleSet, ScalarGrid, SceneSpec,
                     SimParams, resample_narrow_band, sample_trilinear, simulate)
+from upflow import flip as uflip
 from upflow.flip import shape_sdf
+from upflow.grids import FACE_OFFSETS, scatter_trilinear
 from upflow.kernels import kernel_k
 from upflow.particles import hash_uniform, radius_pairs
 
@@ -374,3 +376,78 @@ def test_resample_rejects_non_positive_target(target):
     p = ParticleSet(np.array([[0.5, 0.5, 0.5]]), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="target_per_cell"):
         resample_narrow_band(p, phi, d_b=2, target_per_cell=target)
+
+
+def _scatter_component(pos, val, origin, h, shape, offset):
+    """The solver's own trilinear scatter of one velocity component onto its
+    face lattice, kept verbatim as the reference of `scatter_trilinear`."""
+    acc = np.zeros(shape)
+    wsum = np.zeros(shape)
+    t = (pos - origin) / h - np.asarray(offset)
+    t = np.clip(t, 0.0, np.asarray(shape) - 1.0)
+    i0 = np.minimum(np.floor(t).astype(np.int64), np.asarray(shape) - 2)
+    i0 = np.maximum(i0, 0)
+    f = t - i0
+    flat_acc = acc.reshape(-1)
+    flat_w = wsum.reshape(-1)
+    s1, s2 = shape[1], shape[2]
+    for dx in (0, 1):
+        wx = f[:, 0] if dx else 1.0 - f[:, 0]
+        for dy in (0, 1):
+            wy = f[:, 1] if dy else 1.0 - f[:, 1]
+            for dz in (0, 1):
+                wz = f[:, 2] if dz else 1.0 - f[:, 2]
+                w = wx * wy * wz
+                flat = ((i0[:, 0] + dx) * s1 + (i0[:, 1] + dy)) * s2 + (i0[:, 2] + dz)
+                np.add.at(flat_acc, flat, w * val)
+                np.add.at(flat_w, flat, w)
+    out = np.where(wsum > 0.0, acc / np.maximum(wsum, 1e-300), 0.0)
+    return out, wsum > 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["random", "lattice", "outside"])
+def test_scatter_trilinear_equals_the_solver_scatter(kind, seed):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 7, size=3))
+    desc = GridDesc(tuple(rng.uniform(-1, 1, size=3)), float(rng.uniform(0.05, 0.3)), dims)
+    origin, h = np.asarray(desc.origin), desc.cell_size
+    n = int(rng.integers(1, 300)) if seed else 0
+    if kind == "random":
+        x = origin + rng.uniform(size=(n, 3)) * desc.extent
+    elif kind == "lattice":
+        # faces, cell centres and corners, many particles on the same spot
+        x = origin + rng.integers(0, 2 * np.asarray(dims) + 1, size=(n, 3)) * (0.5 * h)
+    else:
+        x = origin + rng.uniform(-1.0, 2.0, size=(n, 3)) * desc.extent
+    vel = rng.normal(size=(n, 3))
+    g = scatter_trilinear(desc, x, vel)
+    for c, (comp, off) in enumerate(zip(g.components(), FACE_OFFSETS)):
+        want, _ = _scatter_component(x, vel[:, c], origin, h, comp.shape, off)
+        assert comp.tobytes() == want.tobytes()
+
+
+def test_solid_face_masks_are_built_once_per_solver(monkeypatch):
+    axes = []
+    real = uflip.face_mask
+
+    def counting(flagged, axis, border):
+        axes.append(axis)
+        return real(flagged, axis, border)
+
+    monkeypatch.setattr(uflip, "face_mask", counting)
+    solver = FlipSolver(still_pool_scene(), small_params(), seed=0)
+    for _ in range(2):
+        solver.step()
+    assert axes == [0, 1, 2]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("flip_ratio", 3.0), ("flip_ratio", -0.1), ("flip_ratio", float("nan")),
+    ("particles_per_cell", 0), ("pressure_max_iter", 0), ("max_particles", 0),
+    ("cfl", 0.0), ("cfl", float("inf")), ("pressure_tol", -1e-6),
+    ("pressure_tol", float("nan")), ("dt", float("nan")),
+])
+def test_sim_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_params(**{field: value})

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from upflow import (DeformationField, GridDesc, GridMismatch, MACGrid,
                     ParticleSet, ScalarGrid, advect_particles, extrapolate_mac,
                     sample_trilinear)
-from upflow.grids import pcg
+from upflow.grids import face_mask, pcg
 
 
 @pytest.fixture
@@ -265,3 +265,21 @@ def test_pcg_cap_returns_best_iterate():
     assert len(seen) == 9                   # the zero start plus 8 iterates
     assert residual == min(seen) < seen[-1]
     assert np.isclose(np.linalg.norm(b - a_mat @ x), residual, rtol=1e-9)
+
+
+@pytest.mark.parametrize("border", [False, True])
+def test_face_mask_matches_a_face_loop(border):
+    rng = np.random.default_rng(5)
+    flagged = rng.uniform(size=(4, 5, 3)) < 0.3
+    for axis in range(3):
+        shape = list(flagged.shape)
+        shape[axis] += 1
+        want = np.zeros(shape, dtype=bool)
+        for face in np.ndindex(*shape):
+            # face i along `axis` lies between cells i - 1 and i
+            for i in (face[axis] - 1, face[axis]):
+                cell = list(face)
+                cell[axis] = i
+                inside = 0 <= i < flagged.shape[axis]
+                want[face] |= flagged[tuple(cell)] if inside else border
+        assert np.array_equal(face_mask(flagged, axis, border), want)

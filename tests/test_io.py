@@ -1,12 +1,13 @@
 import configparser
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from upflow import (DeformationField, GridDesc, MACGrid, ParticleSet,
-                    ScalarGrid, SceneSpec, SimParams)
+from upflow import (DeformationField, GridDesc, LevelConfig, MACGrid, NetworkConfig,
+                    ParticleSet, ScalarGrid, SceneSpec, SimParams)
 from upflow.dataset import DatasetManifest, PairRecord
 from upflow.flip import SimFrame
 from upflow import io as uio
@@ -255,6 +256,71 @@ lr = 0.005
     assert net_cfg.upconv_widths == ((16,), (12,), (8,))
     assert net_cfg.seed == 3
     assert opts["lr"] == 0.005
+
+
+_MIN_DATASET_CFG = """
+[dataset]
+[scenes]
+shapes = sphere
+obstacle_positions = 0.5,0.3,0.5
+emitter_positions = 0.5,0.8,0.5
+container_dims = 1,1,1
+[sim.low]
+ps = 0.05
+gs = 1
+[sim.high]
+ps = 0.04
+gs = 1
+"""
+
+
+def test_minimal_configs_parse_to_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(_MIN_DATASET_CFG)
+    _, _, _, _, defaults, sim_low, sim_high = uio.parse_dataset_config(str(cfg))
+    assert defaults == SceneSpec()
+    assert sim_low == SimParams.for_domain(0.05, 1.0, (0, 0, 0), (1, 1, 1))
+    assert sim_high == SimParams.for_domain(0.04, 1.0, (0, 0, 0), (1, 1, 1))
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("[net]\ncounts = 8,4\nradii = 0.1,0.2\nwidths = 6;8\n"
+                   "upconv_widths = 8;6\nembedding_radius = 0.4\n[train]\n")
+    net_cfg, opts = uio.parse_net_config(str(cfg))
+    assert net_cfg == NetworkConfig(levels=(LevelConfig(8, 0.1, (6,)), LevelConfig(4, 0.2, (8,))),
+                                    embedding_radius=0.4, upconv_widths=((8,), (6,)))
+    assert opts == {}
+
+
+@pytest.mark.parametrize("section, entry, field", [
+    ("train", "val_fraction = -0.5", "val_fraction"),
+    ("train", "val_fraction = 1.0", "val_fraction"),
+    ("train", "lr = 0", "lr"),
+    ("train", "lr = nan", "lr"),
+    ("sim.low", "flip_ratio = 3.0", "flip_ratio"),
+    ("sim.high", "particles_per_cell = 0", "particles_per_cell"),
+    ("scenes", "liquid_shape = blob", "liquid shape"),
+])
+def test_configs_name_the_file_and_the_field_of_a_bad_value(tmp_path, section, entry, field):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(_MIN_DATASET_CFG + "[train]\n")
+    key, value = (part.strip() for part in entry.split("="))
+    cfg[section][key] = value
+    path = tmp_path / "bad.cfg"
+    with open(path, "w") as f:
+        cfg.write(f)
+    parse = uio.parse_net_config if section == "train" else uio.parse_dataset_config
+    with pytest.raises(ValueError, match=rf"bad\.cfg: \[{re.escape(section)}\] .*{field}"):
+        parse(str(path))
+
+
+def test_manifest_names_the_file_of_bad_sim_params(tmp_path):
+    path = uio.write_manifest(_small_manifest(), str(tmp_path / "ds"))
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    cfg["sim.high"]["cfl"] = "-1.0"
+    with open(path, "w") as f:
+        cfg.write(f)
+    with pytest.raises(ValueError, match=r"manifest\.cfg: \[sim\.high\] cfl"):
+        uio.read_manifest(str(tmp_path / "ds"))
 
 
 @pytest.mark.parametrize("track", ["low", "high"])

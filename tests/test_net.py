@@ -251,10 +251,10 @@ def test_neighborhood_assignment_memory_stays_small():
     # a dense queries x centers x 3 float64 distance array would take ~96 MB
     rng = np.random.default_rng(10)
     positions = rng.uniform(size=(4000, 3))
-    cfg = NetworkConfig(levels=(LevelConfig(1000, 0.1, (4,)),), upconv_widths=((4,),))
+    centers = positions[farthest_point_indices(positions, 1000)]
     tracemalloc.start()
     try:
-        assign, centers = neighborhood_assignment(positions, cfg)
+        assign = neighborhood_assignment(positions, centers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -605,6 +605,15 @@ def test_train_reports_validation():
     assert len(hist["val"]) == 2
 
 
+@pytest.mark.parametrize("epochs, lr, field", [
+    (0, 1e-3, "epochs"), (-3, 1e-3, "epochs"),
+    (2, 0.0, "lr"), (2, -1e-3, "lr"), (2, float("nan"), "lr"), (2, float("inf"), "lr"),
+])
+def test_train_rejects_no_epochs_and_bad_learning_rates(epochs, lr, field):
+    with pytest.raises(ValueError, match=field):
+        train([_sample()], tiny_config(), epochs=epochs, lr=lr)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_aborts_on_nonfinite():
     xl = cloud(12, seed=21, scale=0.1)
@@ -752,10 +761,32 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
 def test_neighborhood_assignment_covers_all():
     cfg = tiny_config()
     xl = cloud(30, seed=24)
-    assign, centers = neighborhood_assignment(xl.positions, cfg)
+    centers = xl.positions[farthest_point_indices(xl.positions, cfg.levels[0].count)]
+    assign = neighborhood_assignment(xl.positions, centers)
     assert assign.shape == (30,)
     assert assign.min() >= 0
     assert assign.max() < len(centers)
+
+
+def test_sample_plan_samples_each_point_set_once(monkeypatch):
+    cfg = tiny_config()
+    sample = _sample(n=30, seed=24)
+    sampled = []
+    real = unet.farthest_point_indices
+
+    def counting(points, n):
+        sampled.append(points.copy())
+        return real(points, n)
+
+    monkeypatch.setattr(unet, "farthest_point_indices", counting)
+    _, _, assign, _ = unet.sample_plan(sample, cfg)
+    # one sampling per level of the forward and of the cycle pass
+    assert len(sampled) == 2 * len(cfg.levels)
+    for i, a in enumerate(sampled):
+        assert not any(a.shape == b.shape and np.array_equal(a, b) for b in sampled[:i])
+    x_l = sample.x_l.positions
+    centers = x_l[real(x_l, cfg.levels[0].count)]
+    assert np.array_equal(assign, nearest_indices(centers, x_l))
 
 
 def test_loss_nonnegative_random_inputs():

@@ -167,10 +167,6 @@ def test_alignment_inverse_distance_values():
     cc = of.complex_cells(lo.frames[0])
     assert cc.any()
 
-    class _FakeTree:
-        def __init__(self, pts):
-            self.pts = pts
-
     # drive through the public API with a surface whose features are known:
     # instead monkeypatching is avoided; check the arithmetic directly
     centers = desc.cell_centers()[cc]
@@ -199,6 +195,28 @@ def test_alignment_floor_and_inverse_distance_end_to_end():
         expect = 1.0 / np.maximum(dist, desc.cell_size)
         assert np.allclose(pen.d[0][cc], expect, rtol=1e-12)
         assert np.all(pen.d[0][cc] <= 1.0 / desc.cell_size + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_alignment_penalty_equals_brute_force_4d_on_lattice_ties(seed):
+    # feature points and complex cells are both cell centres, and dt equals
+    # the cell size, so many cells lie equally far from several features
+    rng = np.random.default_rng(seed)
+    desc = GridDesc((0, 0, 0), 0.1, (7, 6, 7))
+    frames = lambda: [ScalarGrid(desc, rng.normal(scale=0.1, size=desc.dims))
+                      for _ in range(3)]
+    lo, hi = SpaceTimeSDF(frames(), dt=0.1), SpaceTimeSDF(frames(), dt=0.1)
+    params = FlowParams()
+    feats = feature_points(hi, params.alpha_feat)
+    assert len(feats) > 1
+    want = np.zeros((lo.num_frames,) + desc.dims)
+    for t, frame in enumerate(lo.frames):
+        cc = complex_cells(frame)
+        q = np.concatenate([desc.cell_centers()[cc], np.full((cc.sum(), 1), t * 0.1)], axis=1)
+        d = np.sqrt(np.sum((feats[None, :, :] - q[:, None, :]) ** 2, axis=2)).min(axis=1)
+        want[t][cc] = 1.0 / np.maximum(d, desc.cell_size)
+    assert want.any()
+    assert alignment_penalty(lo, hi, params).d.tobytes() == want.tobytes()
 
 
 def test_alignment_grid_mismatch():

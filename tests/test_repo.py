@@ -1,5 +1,6 @@
 """Checks on the source tree itself."""
 
+import glob
 import importlib
 import importlib.util
 import os
@@ -55,3 +56,11 @@ def test_benchmark_tracer_targets_exist():
         if not found:
             missing.append(f"{modname}.{attr_path}")
     assert missing == []
+
+
+def test_only_particles_builds_a_kd_tree():
+    # one neighbour search: every other module goes through particles.py
+    src = os.path.dirname(os.path.abspath(upflow.__file__))
+    users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
+                   if "cKDTree" in open(p).read())
+    assert users == ["particles.py"]
