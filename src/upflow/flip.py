@@ -7,6 +7,12 @@ projection solved with Jacobi-preconditioned CG, RK2 particle advection,
 and narrow-band resampling. Scenes are described by an obstacle
 shape, an emitter, a container, and optionally an initial liquid volume so
 that parameter sweeps can enumerate simulation pairs.
+
+One solid model decides where liquid may be: the open box from
+``origin + h`` to ``min(origin + container_dims, upper - h)`` minus the
+inside of the obstacle SDF. A cell is solid when its center lies outside
+that region, so the one-cell border of the grid is always solid; seeding,
+emission and the push-out of advected particles test the same region.
 """
 
 from __future__ import annotations
@@ -141,7 +147,12 @@ class FlipSolver:
         self.frame = 0
         self.desc = params.domain
         self._check_geometry()
-        self.solid = self._solid_mask()
+        lo, h = np.asarray(self.desc.origin), self.desc.cell_size
+        self.box = (lo + h, np.minimum(lo + np.asarray(scene.container_dims), self.desc.upper - h))
+        # the box leaves every border cell's center outside, so the one-cell
+        # border is solid and each fluid cell has all six neighbours on the grid
+        centers = self.desc.cell_centers().reshape(-1, 3)
+        self.solid = self._in_solid(centers).reshape(self.desc.dims)
         self.solid_faces = [face_mask(self.solid, axis, True) for axis in range(3)]
         self.particles = self._seed_initial()
         self.last_fluid = np.zeros(self.desc.dims, dtype=bool)
@@ -157,31 +168,13 @@ class FlipSolver:
             if np.any(p < lo) or np.any(p > hi):
                 raise ValueError(f"{name} position {pos} lies outside the domain")
 
-    def _solid_mask(self) -> np.ndarray:
-        centers = self.desc.cell_centers().reshape(-1, 3)
-        solid = np.zeros(len(centers), dtype=bool)
-        # container walls: everything outside the container box is solid
-        lo = np.asarray(self.desc.origin)
-        cd = np.asarray(self.scene.container_dims)
-        solid |= np.any(centers < lo, axis=1) | np.any(centers > lo + cd, axis=1)
-        if self.scene.obstacle_shape != "none":
-            phi = shape_sdf(self.scene.obstacle_shape, self.scene.obstacle_position,
-                            self.scene.obstacle_size, centers)
-            solid |= phi < 0.0
-        solid = solid.reshape(self.desc.dims)
-        # one-cell wall at the domain boundary so liquid cannot leave the grid
-        solid[0, :, :] = solid[-1, :, :] = True
-        solid[:, 0, :] = solid[:, -1, :] = True
-        solid[:, :, 0] = solid[:, :, -1] = True
-        return solid
-
     def _stratified_fill(self, cells: np.ndarray, tag: int) -> np.ndarray:
         """Jittered per-cell seeding of `particles_per_cell` positions."""
         n_axis = max(1, int(round(self.params.particles_per_cell ** (1.0 / 3.0))))
         per_cell = n_axis ** 3
         h = self.desc.cell_size
         origin = np.asarray(self.desc.origin)
-        cell_ids = (cells[:, 0] * self.desc.dims[1] + cells[:, 1]) * self.desc.dims[2] + cells[:, 2]
+        cell_ids = np.ravel_multi_index(cells.T, self.desc.dims)
         slots = np.arange(per_cell)
         sid, cid = np.meshgrid(slots, cell_ids, indexing="ij")
         sub = np.stack([sid // (n_axis * n_axis), (sid // n_axis) % n_axis, sid % n_axis], axis=-1)
@@ -213,16 +206,17 @@ class FlipSolver:
 
     # -- helpers ---------------------------------------------------------
 
+    def _obstacle_phi(self, x: np.ndarray) -> np.ndarray:
+        """Signed distance to the obstacle at points x (n, 3); +inf without one."""
+        s = self.scene
+        if s.obstacle_shape == "none":
+            return np.full(len(x), np.inf)
+        return shape_sdf(s.obstacle_shape, s.obstacle_position, s.obstacle_size, x)
+
     def _in_solid(self, pos: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.desc.origin)
-        cd = np.asarray(self.scene.container_dims)
-        h = self.desc.cell_size
-        inside = np.any(pos < lo + h, axis=1) | np.any(pos > np.minimum(lo + cd, self.desc.upper - h), axis=1)
-        if self.scene.obstacle_shape != "none":
-            phi = shape_sdf(self.scene.obstacle_shape, self.scene.obstacle_position,
-                            self.scene.obstacle_size, pos)
-            inside |= phi < 0.0
-        return inside
+        lo, hi = self.box
+        return (np.any(pos < lo, axis=1) | np.any(pos > hi, axis=1)
+                | (self._obstacle_phi(pos) < 0.0))
 
     def _emit(self):
         n = self.scene.emit_rate
@@ -269,29 +263,22 @@ class FlipSolver:
         # pressure equation reads  (-Lap) p = -div/dt
         div = -self._divergence(g)[fluid] / dt
 
-        rows, cols, vals = [], [], []
-        diag = np.zeros(n_fluid)
-        cells = np.argwhere(fluid)
+        # fluid cells lie inside the solid border, so every neighbour comes
+        # from a shifted mask; solid neighbours drop out of the stencil entirely
+        is_open = ~self.solid
+        diag = np.zeros(self.desc.dims)
+        rows, cols = [np.arange(n_fluid)], [np.arange(n_fluid)]
         for axis in range(3):
-            for step in (-1, 1):
-                nb = cells.copy()
-                nb[:, axis] += step
-                inb = np.all((nb >= 0) & (nb < np.asarray(self.desc.dims)), axis=1)
-                nbc = np.clip(nb, 0, np.asarray(self.desc.dims) - 1)
-                is_solid = ~inb | self.solid[nbc[:, 0], nbc[:, 1], nbc[:, 2]]
-                # solid neighbors drop out of the stencil entirely
-                diag += np.where(is_solid, 0.0, 1.0)
-                nb_fluid = inb & fluid[nbc[:, 0], nbc[:, 1], nbc[:, 2]] & ~is_solid
-                r = idx[cells[nb_fluid, 0], cells[nb_fluid, 1], cells[nb_fluid, 2]]
-                c = idx[nbc[nb_fluid, 0], nbc[nb_fluid, 1], nbc[nb_fluid, 2]]
-                rows.append(r)
-                cols.append(c)
-                vals.append(np.full(len(r), -1.0))
-        rows.append(np.arange(n_fluid))
-        cols.append(np.arange(n_fluid))
-        vals.append(np.maximum(diag, 1e-12))
-        a_mat = sp.csr_matrix((np.concatenate(vals),
-                               (np.concatenate(rows), np.concatenate(cols))),
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            diag[lo] += is_open[hi]
+            diag[hi] += is_open[lo]
+            pair = fluid[lo] & fluid[hi]
+            rows += [idx[lo][pair], idx[hi][pair]]
+            cols += [idx[hi][pair], idx[lo][pair]]
+        vals = np.full(sum(map(len, rows)), -1.0)
+        vals[:n_fluid] = np.maximum(diag[fluid], 1e-12)
+        a_mat = sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))),
                               shape=(n_fluid, n_fluid)) / (h * h)
 
         # post-projection divergence equals dt * residual, so target tol/dt
@@ -304,26 +291,10 @@ class FlipSolver:
 
         pr = np.zeros(self.desc.dims)
         pr[fluid] = p
-        solid_u, solid_v, solid_w = self.solid_faces
-        active = fluid
-        gu = np.zeros_like(g.u)
-        gu[1:-1, :, :] = (pr[1:, :, :] - pr[:-1, :, :]) / h
-        touch_u = np.zeros(g.u.shape, dtype=bool)
-        touch_u[1:, :, :] |= active
-        touch_u[:-1, :, :] |= active
-        g.u -= np.where(touch_u & ~solid_u, gu, 0.0) * dt
-        gv = np.zeros_like(g.v)
-        gv[:, 1:-1, :] = (pr[:, 1:, :] - pr[:, :-1, :]) / h
-        touch_v = np.zeros(g.v.shape, dtype=bool)
-        touch_v[:, 1:, :] |= active
-        touch_v[:, :-1, :] |= active
-        g.v -= np.where(touch_v & ~solid_v, gv, 0.0) * dt
-        gw = np.zeros_like(g.w)
-        gw[:, :, 1:-1] = (pr[:, :, 1:] - pr[:, :, :-1]) / h
-        touch_w = np.zeros(g.w.shape, dtype=bool)
-        touch_w[:, :, 1:] |= active
-        touch_w[:, :, :-1] |= active
-        g.w -= np.where(touch_w & ~solid_w, gw, 0.0) * dt
+        for axis, (comp, solid) in enumerate(zip(g.components(), self.solid_faces)):
+            grad = np.zeros_like(comp)
+            grad[(slice(None),) * axis + (slice(1, -1),)] = np.diff(pr, axis=axis) / h
+            comp -= np.where(face_mask(fluid, axis, False) & ~solid, grad, 0.0) * dt
 
     def _grid_to_particles(self, new: MACGrid, old: MACGrid):
         if not self.particles.count:
@@ -336,29 +307,22 @@ class FlipSolver:
             r * (self.particles.velocities + v_new - v_old) + (1.0 - r) * v_new)
 
     def _push_out_of_solids(self, pos: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.desc.origin)
         h = self.desc.cell_size
-        cd = np.asarray(self.scene.container_dims)
-        hi = np.minimum(lo + cd, self.desc.upper)
         eps = 1e-4 * h
-        pos = np.clip(pos, lo + h + eps, hi - h - eps)
-        if self.scene.obstacle_shape != "none":
-            phi = shape_sdf(self.scene.obstacle_shape, self.scene.obstacle_position,
-                            self.scene.obstacle_size, pos)
-            inside = phi < 0.0
-            if inside.any():
-                step = 0.5 * h
-                grad = np.zeros((inside.sum(), 3))
-                for a in range(3):
-                    d = np.zeros(3)
-                    d[a] = step
-                    grad[:, a] = (shape_sdf(self.scene.obstacle_shape, self.scene.obstacle_position,
-                                            self.scene.obstacle_size, pos[inside] + d)
-                                  - shape_sdf(self.scene.obstacle_shape, self.scene.obstacle_position,
-                                              self.scene.obstacle_size, pos[inside] - d)) / (2 * step)
-                norm = np.linalg.norm(grad, axis=1, keepdims=True)
-                grad = np.where(norm > 0, grad / np.maximum(norm, 1e-12), 0.0)
-                pos[inside] -= grad * (phi[inside][:, None] - 0.25 * h)
+        pos = np.clip(pos, self.box[0] + eps, self.box[1] - eps)
+        phi = self._obstacle_phi(pos)
+        inside = phi < 0.0
+        if inside.any():
+            step = 0.5 * h
+            grad = np.zeros((inside.sum(), 3))
+            for a in range(3):
+                d = np.zeros(3)
+                d[a] = step
+                grad[:, a] = (self._obstacle_phi(pos[inside] + d)
+                              - self._obstacle_phi(pos[inside] - d)) / (2 * step)
+            norm = np.linalg.norm(grad, axis=1, keepdims=True)
+            grad = np.where(norm > 0, grad / np.maximum(norm, 1e-12), 0.0)
+            pos[inside] -= grad * (phi[inside][:, None] - 0.25 * h)
         return pos
 
     # -- stepping --------------------------------------------------------
@@ -384,9 +348,8 @@ class FlipSolver:
         old = grid.copy()
         g = np.asarray(self.params.gravity)
         if np.any(g != 0.0):
-            grid.u += g[0] * dt
-            grid.v += g[1] * dt
-            grid.w += g[2] * dt
+            for comp, g_axis in zip(grid.components(), g):
+                comp += g_axis * dt
             self._apply_boundary(grid)
         self._project(grid, dt)
         self._apply_boundary(grid)
@@ -442,8 +405,8 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     vel = p.velocities[keep]
 
     ci = desc.cell_index(pos)
-    counts = np.zeros(desc.dims, dtype=np.int64)
-    np.add.at(counts, (ci[:, 0], ci[:, 1], ci[:, 2]), 1)
+    flat = np.ravel_multi_index(ci.T, desc.dims)
+    counts = np.bincount(flat, minlength=desc.num_cells).reshape(desc.dims)
 
     band = (phi.values <= 0.0) & (phi.values >= -depth)
     need_cells = np.argwhere(band & (counts < target_per_cell))
@@ -451,8 +414,7 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     added = np.zeros((0, 3))
     if len(need_cells):
         have = counts[need_cells[:, 0], need_cells[:, 1], need_cells[:, 2]]
-        cell_ids = ((need_cells[:, 0] * desc.dims[1] + need_cells[:, 1]) * desc.dims[2]
-                    + need_cells[:, 2])
+        cell_ids = np.ravel_multi_index(need_cells.T, desc.dims)
         # 4 x target candidates for every underfull cell at once: (cells, slots, 3)
         slots = np.arange(4 * target_per_cell)
         jit = np.stack([hash_uniform(np.int64(seed), np.int64(frame), cell_ids[:, None],
@@ -467,7 +429,6 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
         added = cand[ok & (have[:, None] <= rank) & (rank < target_per_cell)]
 
     # thin overfull cells, keeping the lexicographically smallest positions
-    flat = (ci[:, 0] * desc.dims[1] + ci[:, 1]) * desc.dims[2] + ci[:, 2]
     order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], flat))
     flat_sorted = flat[order]
     rank = np.empty(len(pos), dtype=np.int64)

@@ -25,6 +25,14 @@ from .errors import GridMismatch
 FACE_OFFSETS = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
 
 
+def face_shape(dims, axis: int) -> tuple[int, int, int]:
+    """Shape of the MAC component normal to `axis` on a grid of `dims` cells:
+    one more face than cells along `axis`."""
+    shape = [int(d) for d in dims]
+    shape[axis] += 1
+    return tuple(shape)
+
+
 @dataclass(frozen=True)
 class GridDesc:
     """Geometry of a uniform grid: origin corner, cell size, cell counts."""
@@ -97,12 +105,10 @@ class ScalarGrid:
 
 @dataclass
 class DeformationField:
-    """Cell-centered 3-vector field, optionally tagged with its frame index
-    when it is one slab of a space-time stack."""
+    """Cell-centered 3-vector field."""
 
     desc: GridDesc
     vectors: np.ndarray
-    time_index: int | None = None
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -111,11 +117,11 @@ class DeformationField:
                 f"vectors shape {self.vectors.shape} != dims {self.desc.dims} + (3,)")
 
     @classmethod
-    def zeros(cls, desc: GridDesc, time_index: int | None = None) -> "DeformationField":
-        return cls(desc, np.zeros(desc.dims + (3,), dtype=np.float64), time_index)
+    def zeros(cls, desc: GridDesc) -> "DeformationField":
+        return cls(desc, np.zeros(desc.dims + (3,), dtype=np.float64))
 
     def copy(self) -> "DeformationField":
-        return DeformationField(self.desc, self.vectors.copy(), self.time_index)
+        return DeformationField(self.desc, self.vectors.copy())
 
 
 @dataclass
@@ -128,20 +134,13 @@ class MACGrid:
     w: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        nx, ny, nz = self.desc.dims
-        if self.u is None:
-            self.u = np.zeros((nx + 1, ny, nz))
-        if self.v is None:
-            self.v = np.zeros((nx, ny + 1, nz))
-        if self.w is None:
-            self.w = np.zeros((nx, ny, nz + 1))
-        self.u = np.ascontiguousarray(self.u, dtype=np.float64)
-        self.v = np.ascontiguousarray(self.v, dtype=np.float64)
-        self.w = np.ascontiguousarray(self.w, dtype=np.float64)
-        expect = {"u": (nx + 1, ny, nz), "v": (nx, ny + 1, nz), "w": (nx, ny, nz + 1)}
-        for name, arr in (("u", self.u), ("v", self.v), ("w", self.w)):
-            if arr.shape != expect[name]:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {expect[name]}")
+        for axis, name in enumerate("uvw"):
+            shape = face_shape(self.desc.dims, axis)
+            arr = getattr(self, name)
+            arr = np.zeros(shape) if arr is None else np.ascontiguousarray(arr, dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            setattr(self, name, arr)
 
     @classmethod
     def zeros(cls, desc: GridDesc) -> "MACGrid":

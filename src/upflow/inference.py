@@ -114,8 +114,7 @@ def band_particles(x: ParticleSet, phi: ScalarGrid, depth: float) -> np.ndarray:
     return (vals <= 0.0) & (vals >= -depth)
 
 
-def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid,
-                cfg: InferenceConfig, dt: float):
+def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid, dt: float):
     """Predict displacements for one band subset and scatter them to the grid."""
     desc = u_mac.desc
     if x_band.count == 0:
@@ -157,7 +156,7 @@ def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
         depth = cfg.depths[p % len(cfg.depths)] * band_width
         mask = band_particles(xs, band_phi, depth)
         subset = ParticleSet(xs.positions[mask], xs.velocities[mask])
-        fields.append(_pass_field(subset, model, u_mac, cfg, dt))
+        fields.append(_pass_field(subset, model, u_mac, dt))
     return fields, upsampled, phi
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import DatasetManifest, PairRecord, ParamMatrix
 from .errors import check_positive
 from .flip import SceneSpec, SimFrame, SimParams
-from .grids import DeformationField, GridDesc, MACGrid, ScalarGrid
+from .grids import DeformationField, GridDesc, MACGrid, ScalarGrid, face_shape
 from .net import LevelConfig, NetworkConfig
 from .particles import ParticleSet
 
@@ -121,19 +121,17 @@ def load_grid(path: str):
         (cell,) = struct.unpack("<d", read(8))
         dims = struct.unpack("<3I", read(12))
         desc = GridDesc(origin, cell, dims)
-        nx, ny, nz = dims
         if kind == _GRID_KINDS["scalar"]:
-            vals = np.frombuffer(read(4 * nx * ny * nz), dtype="<f4")
+            vals = np.frombuffer(read(4 * desc.num_cells), dtype="<f4")
             return ScalarGrid(desc, vals.astype(np.float64).reshape(dims))
         if kind == _GRID_KINDS["vector"]:
-            vals = np.frombuffer(read(4 * nx * ny * nz * 3), dtype="<f4")
+            vals = np.frombuffer(read(4 * desc.num_cells * 3), dtype="<f4")
             return DeformationField(desc, vals.astype(np.float64).reshape(dims + (3,)))
         if kind == _GRID_KINDS["mac"]:
-            shapes = [(nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)]
             comps = []
-            for s in shapes:
-                n = s[0] * s[1] * s[2]
-                comps.append(np.frombuffer(read(4 * n), dtype="<f4")
+            for axis in range(3):
+                s = face_shape(dims, axis)
+                comps.append(np.frombuffer(read(4 * s[0] * s[1] * s[2]), dtype="<f4")
                              .astype(np.float64).reshape(s))
             return MACGrid(desc, *comps)
         raise ValueError(f"unknown grid kind {kind}")

@@ -366,7 +366,7 @@ def solution_fields(u_flat: np.ndarray, st_like: SpaceTimeSDF) -> list[Deformati
     desc = st_like.desc
     t_frames = st_like.num_frames
     u = u_flat.reshape((t_frames,) + desc.dims + (3,))
-    return [DeformationField(desc, u[t], time_index=t) for t in range(t_frames)]
+    return [DeformationField(desc, u[t]) for t in range(t_frames)]
 
 
 def quadratic_energy(a_mat: sp.csr_matrix, b: np.ndarray, u: np.ndarray,

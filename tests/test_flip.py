@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from upflow import (FlipSolver, GridDesc, ParticleSet, ScalarGrid, SceneSpec,
                     SimParams, resample_narrow_band, sample_trilinear, simulate)
 from upflow import flip as uflip
+from upflow import grids as ugrids
+from upflow.errors import SolverDiverged
 from upflow.flip import shape_sdf
-from upflow.grids import FACE_OFFSETS, scatter_trilinear
+from upflow.grids import FACE_OFFSETS, pcg, scatter_trilinear
 from upflow.kernels import kernel_k
 from upflow.particles import hash_uniform, radius_pairs
 
@@ -119,6 +122,135 @@ def test_particles_stay_out_of_solids():
         hi = params.domain.upper
         assert np.all(f.particles.positions > lo)
         assert np.all(f.particles.positions < hi)
+
+
+def test_particles_keep_the_last_open_cell_of_a_narrow_container():
+    # a 0.3-wide container in a 0.5 domain (h = 0.05) leaves the cell at
+    # x in [0.25, 0.3] open; the push-out must clamp at the container wall,
+    # not one cell short of it
+    params = SimParams.for_domain(0.0125, 2.0, (0, 0, 0), (0.5, 0.5, 0.5))
+    h = params.domain.cell_size
+    scene = SceneSpec(obstacle_shape="none", container_dims=(0.3, 0.5, 0.5),
+                      pool_depth=0.3, emitter_position=(0.15, 0.4, 0.25))
+    solver = FlipSolver(scene, params, seed=0)
+    last = solver.particles.positions[:, 0] > 0.25
+    assert solver.particles.count == 640 and last.sum() == 128
+    plane = 0.25 - 1e-4 * h
+    for _ in range(3):
+        x = solver.step().particles.positions[:, 0]
+        assert np.all(x[last] > 0.25)
+        assert not np.any(x == plane)
+        assert np.all(x < 0.3)
+
+
+def parent_project(self, g, dt):
+    """FlipSolver._project before its per-axis rewrite, kept verbatim as the
+    reference the shifted-mask assembly must equal bit for bit."""
+    fluid = self._classify()
+    self.last_fluid = fluid
+    n_fluid = int(fluid.sum())
+    if n_fluid == 0:
+        return
+    h = self.desc.cell_size
+    idx = -np.ones(self.desc.dims, dtype=np.int64)
+    idx[fluid] = np.arange(n_fluid)
+    # the assembled stencil is the negative Laplacian (SPD), so the
+    # pressure equation reads  (-Lap) p = -div/dt
+    div = -self._divergence(g)[fluid] / dt
+
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n_fluid)
+    cells = np.argwhere(fluid)
+    for axis in range(3):
+        for step in (-1, 1):
+            nb = cells.copy()
+            nb[:, axis] += step
+            inb = np.all((nb >= 0) & (nb < np.asarray(self.desc.dims)), axis=1)
+            nbc = np.clip(nb, 0, np.asarray(self.desc.dims) - 1)
+            is_solid = ~inb | self.solid[nbc[:, 0], nbc[:, 1], nbc[:, 2]]
+            # solid neighbors drop out of the stencil entirely
+            diag += np.where(is_solid, 0.0, 1.0)
+            nb_fluid = inb & fluid[nbc[:, 0], nbc[:, 1], nbc[:, 2]] & ~is_solid
+            r = idx[cells[nb_fluid, 0], cells[nb_fluid, 1], cells[nb_fluid, 2]]
+            c = idx[nbc[nb_fluid, 0], nbc[nb_fluid, 1], nbc[nb_fluid, 2]]
+            rows.append(r)
+            cols.append(c)
+            vals.append(np.full(len(r), -1.0))
+    rows.append(np.arange(n_fluid))
+    cols.append(np.arange(n_fluid))
+    vals.append(np.maximum(diag, 1e-12))
+    a_mat = sp.csr_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n_fluid, n_fluid)) / (h * h)
+
+    # post-projection divergence equals dt * residual, so target tol/dt
+    p, ok, _, _ = pcg(a_mat, div, self.params.pressure_tol / dt,
+                      self.params.pressure_max_iter,
+                      lambda r: float(np.max(np.abs(r))))
+    if not ok:
+        raise SolverDiverged(
+            f"pressure CG exceeded {self.params.pressure_max_iter} iterations")
+
+    pr = np.zeros(self.desc.dims)
+    pr[fluid] = p
+    solid_u, solid_v, solid_w = self.solid_faces
+    active = fluid
+    gu = np.zeros_like(g.u)
+    gu[1:-1, :, :] = (pr[1:, :, :] - pr[:-1, :, :]) / h
+    touch_u = np.zeros(g.u.shape, dtype=bool)
+    touch_u[1:, :, :] |= active
+    touch_u[:-1, :, :] |= active
+    g.u -= np.where(touch_u & ~solid_u, gu, 0.0) * dt
+    gv = np.zeros_like(g.v)
+    gv[:, 1:-1, :] = (pr[:, 1:, :] - pr[:, :-1, :]) / h
+    touch_v = np.zeros(g.v.shape, dtype=bool)
+    touch_v[:, 1:, :] |= active
+    touch_v[:, :-1, :] |= active
+    g.v -= np.where(touch_v & ~solid_v, gv, 0.0) * dt
+    gw = np.zeros_like(g.w)
+    gw[:, :, 1:-1] = (pr[:, :, 1:] - pr[:, :, :-1]) / h
+    touch_w = np.zeros(g.w.shape, dtype=bool)
+    touch_w[:, :, 1:] |= active
+    touch_w[:, :, :-1] |= active
+    g.w -= np.where(touch_w & ~solid_w, gw, 0.0) * dt
+
+
+def test_project_equals_the_parent_projection(monkeypatch):
+    # liquid falls onto a torus and pools against the container walls, so
+    # the stencil meets obstacle, wall and free-surface neighbours
+    scene = SceneSpec(obstacle_shape="torus", obstacle_position=(0.5, 0.3, 0.5),
+                      obstacle_size=0.18, pool_depth=0.15, emit_rate=30,
+                      emitter_position=(0.5, 0.8, 0.5), liquid_shape="sphere",
+                      liquid_position=(0.45, 0.6, 0.5), liquid_size=0.15)
+    solver = FlipSolver(scene, small_params(), seed=3)
+    systems = []
+
+    def recording(a_mat, b, *args):
+        systems.append((a_mat, b))
+        return ugrids.pcg(a_mat, b, *args)
+
+    monkeypatch.setattr(uflip, "pcg", recording)
+    monkeypatch.setitem(globals(), "pcg", recording)
+    project = solver._project
+    checked = []
+
+    def both(g, dt):
+        want = g.copy()
+        parent_project(solver, want, dt)
+        project(g, dt)
+        (a_want, b_want), (a_got, b_got) = systems[-2:]
+        for name in ("data", "indices", "indptr"):
+            assert getattr(a_got, name).tobytes() == getattr(a_want, name).tobytes(), name
+        assert b_got.tobytes() == b_want.tobytes()
+        for got, ref in zip(g.components(), want.components()):
+            assert got.tobytes() == ref.tobytes()
+        checked.append(len(b_got))
+
+    monkeypatch.setattr(solver, "_project", both)
+    for _ in range(3):
+        solver.step()
+    assert len(checked) >= 3 and min(checked) > 0
+    assert solver.solid[1:-1, 1:-1, 1:-1].any()
 
 
 # -- narrow band resampling ----------------------------------------------------
@@ -432,7 +564,8 @@ def test_solid_face_masks_are_built_once_per_solver(monkeypatch):
     real = uflip.face_mask
 
     def counting(flagged, axis, border):
-        axes.append(axis)
+        if border:
+            axes.append(axis)
         return real(flagged, axis, border)
 
     monkeypatch.setattr(uflip, "face_mask", counting)

@@ -155,27 +155,30 @@ def test_alignment_zero_without_complex_cells():
     assert not pen.d.any()
 
 
-def test_alignment_inverse_distance_values():
+def test_alignment_inverse_distance_values(monkeypatch):
     from upflow import optflow as of
 
     desc = GridDesc((0, 0, 0), 1.0, (5, 5, 5))
-    params = FlowParams()
-    # one complex cell (checkerboard corner block at the origin)
+    # a checkerboard makes every cell of the leading 4x4x4 block complex
     i, j, k = np.meshgrid(*[np.arange(5)] * 3, indexing="ij")
     vals = np.where((i + j + k) % 2 == 0, -1.0, 1.0)
     lo = SpaceTimeSDF([ScalarGrid(desc, vals)])
     cc = of.complex_cells(lo.frames[0])
-    assert cc.any()
+    assert cc.sum() == 4 ** 3
 
-    # drive through the public API with a surface whose features are known:
-    # instead monkeypatching is avoided; check the arithmetic directly
+    # one feature point on the center of cell (1, 2, 0), at t = 0
+    feat = np.array([[1.5, 2.5, 0.5, 0.0]])
+    monkeypatch.setattr(of, "feature_points", lambda st, alpha_feat: feat)
+    pen = alignment_penalty(lo, lo, FlowParams())
+
     centers = desc.cell_centers()[cc]
-    feats = np.concatenate([centers[:1], np.zeros((1, 1))], axis=1)
-    d = np.linalg.norm(np.concatenate([centers, np.zeros((len(centers), 1))],
-                                      axis=1) - feats[0], axis=1)
-    d = np.maximum(d, desc.cell_size)
-    expect_first = 1.0 / desc.cell_size  # the cell sitting exactly on the feature
-    assert 1.0 / d[0] == expect_first
+    dist = np.linalg.norm(np.concatenate([centers, np.zeros((len(centers), 1))], axis=1)
+                          - feat[0], axis=1)
+    expect = 1.0 / np.maximum(dist, desc.cell_size)
+    assert np.allclose(pen.d[0][cc], expect, rtol=1e-12, atol=0.0)
+    assert not pen.d[0][~cc].any()
+    # the cell on the feature point takes the floor: 1 / h
+    assert pen.d[0][1, 2, 0] == 1.0 / desc.cell_size
 
 
 def test_alignment_floor_and_inverse_distance_end_to_end():

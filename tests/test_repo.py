@@ -64,3 +64,11 @@ def test_only_particles_builds_a_kd_tree():
     users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
                    if "cKDTree" in open(p).read())
     assert users == ["particles.py"]
+
+
+def test_only_grids_spells_a_face_shape():
+    # one MAC layout: every other module asks grids.face_shape
+    src = os.path.dirname(os.path.abspath(upflow.__file__))
+    users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
+                   if any(s in open(p).read() for s in ("nx + 1", "ny + 1", "nz + 1")))
+    assert [u for u in users if u != "grids.py"] == []
