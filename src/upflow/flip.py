@@ -167,6 +167,12 @@ class FlipSolver:
             p = np.asarray(pos)
             if np.any(p < lo) or np.any(p > hi):
                 raise ValueError(f"{name} position {pos} lies outside the domain")
+        # an emitter outside the container emits into the solid: nothing
+        top = lo + np.asarray(self.scene.container_dims)
+        emitter = np.asarray(self.scene.emitter_position)
+        if self.scene.emit_rate > 0 and (np.any(emitter < lo) or np.any(emitter > top)):
+            raise ValueError(f"emitter position {self.scene.emitter_position} lies outside "
+                             f"the container {self.scene.container_dims}")
 
     def _stratified_fill(self, cells: np.ndarray, tag: int) -> np.ndarray:
         """Jittered per-cell seeding of `particles_per_cell` positions."""
@@ -391,6 +397,45 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     New particles take the kernel-weighted velocity of nearby survivors.
     Raises ValueError for ``d_b`` or ``target_per_cell`` below 1.
     """
+    pos, vel, added = _band_seeds(p, phi, d_b, target_per_cell, seed, frame)
+    if len(added):
+        r = 2.0 * phi.desc.cell_size
+        rows, cols, d2 = radius_pairs(pos, added, r)
+        # each seed sums its neighbours ordered by (cell of side r, index):
+        # rank the survivors in that order once, then sort the pairs by
+        # (seed, rank), which is the same order as sorting on all five keys
+        key = np.floor(pos / r).astype(np.int64)
+        point_rank = np.empty(len(pos), dtype=np.int64)
+        point_rank[np.lexsort((key[:, 2], key[:, 1], key[:, 0]))] = np.arange(len(pos))
+        order = np.argsort(rows * len(pos) + point_rank[cols])
+        cols = cols[order]
+        w = kernel_k(np.sqrt(d2[order]) / r)
+        wv = w[:, None] * vel[cols]
+        bounds = np.searchsorted(rows[order], np.arange(len(added) + 1))
+        first, sizes = bounds[:-1], np.diff(bounds)
+        # seeds with the same neighbour count sum as the rows of one block;
+        # each row reduces over its own contiguous axis, in the order a
+        # slice of that length sums in (np.add.reduceat does not keep it)
+        tot = np.zeros(len(added))
+        acc = np.zeros_like(added)
+        for n in np.unique(sizes[sizes > 0]):
+            seeds = np.flatnonzero(sizes == n)
+            idx = first[seeds, None] + np.arange(n)
+            tot[seeds] = w[idx].sum(axis=1)
+            acc[seeds] = wv[idx].sum(axis=1)
+        live = tot > 0
+        avel = np.zeros_like(added)
+        avel[live] = acc[live] / tot[live, None]
+        pos = np.concatenate([pos, added])
+        vel = np.concatenate([vel, avel])
+    return ParticleSet(pos, vel)
+
+
+def _band_seeds(p: ParticleSet, phi: ScalarGrid, d_b: int, target_per_cell: int,
+                seed: int, frame: int):
+    """The positions half of `resample_narrow_band`: the surviving band
+    particles (positions, velocities) and the new seeds' positions. Callers
+    that re-sample every velocity afterwards skip the seeds' velocities."""
     if d_b < 1:
         raise ValueError(f"d_b must be >= 1, got {d_b}")
     if target_per_cell < 1:
@@ -434,36 +479,4 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     rank = np.empty(len(pos), dtype=np.int64)
     rank[order] = np.arange(len(pos)) - np.searchsorted(flat_sorted, flat_sorted)
     keep2 = rank < target_per_cell
-    pos, vel = pos[keep2], vel[keep2]
-
-    if len(added):
-        r = 2.0 * h
-        rows, cols, d2 = radius_pairs(pos, added, r)
-        # each seed sums its neighbours ordered by (cell of side r, index):
-        # rank the survivors in that order once, then sort the pairs by
-        # (seed, rank), which is the same order as sorting on all five keys
-        key = np.floor(pos / r).astype(np.int64)
-        point_rank = np.empty(len(pos), dtype=np.int64)
-        point_rank[np.lexsort((key[:, 2], key[:, 1], key[:, 0]))] = np.arange(len(pos))
-        order = np.argsort(rows * len(pos) + point_rank[cols])
-        cols = cols[order]
-        w = kernel_k(np.sqrt(d2[order]) / r)
-        wv = w[:, None] * vel[cols]
-        bounds = np.searchsorted(rows[order], np.arange(len(added) + 1))
-        first, sizes = bounds[:-1], np.diff(bounds)
-        # seeds with the same neighbour count sum as the rows of one block;
-        # each row reduces over its own contiguous axis, in the order a
-        # slice of that length sums in (np.add.reduceat does not keep it)
-        tot = np.zeros(len(added))
-        acc = np.zeros_like(added)
-        for n in np.unique(sizes[sizes > 0]):
-            seeds = np.flatnonzero(sizes == n)
-            idx = first[seeds, None] + np.arange(n)
-            tot[seeds] = w[idx].sum(axis=1)
-            acc[seeds] = wv[idx].sum(axis=1)
-        live = tot > 0
-        avel = np.zeros_like(added)
-        avel[live] = acc[live] / tot[live, None]
-        pos = np.concatenate([pos, added])
-        vel = np.concatenate([vel, avel])
-    return ParticleSet(pos, vel)
+    return pos[keep2], vel[keep2], added

@@ -225,15 +225,20 @@ def scatter_trilinear(desc: GridDesc, x: np.ndarray, vectors: np.ndarray) -> MAC
     """The transpose of `sample_trilinear` on the MAC layout of `desc`: each
     position of `x` (n, 3) spreads component c of its row of `vectors` onto
     the c-faces with its trilinear weights. A face holds the weighted mean
-    of what reaches it, or zero when nothing does."""
+    of what reaches it, or zero when nothing does.
+
+    Each sum of a component (weighted values, weights) is one `np.bincount`
+    over the eight corners' rows in stencil order, which adds each face's
+    terms in the order eight `np.add.at` passes would."""
     g = MACGrid.zeros(desc)
     base = (x - np.asarray(desc.origin)) / desc.cell_size
+    flat, w = np.empty((8, len(x)), dtype=np.int64), np.empty((8, len(x)))
     for c, (comp, off) in enumerate(zip(g.components(), FACE_OFFSETS)):
-        acc, wsum = np.zeros(comp.size), np.zeros(comp.size)
-        for corner, w in _trilinear_stencil(comp.shape, base - np.asarray(off)):
-            flat = np.ravel_multi_index(corner, comp.shape)
-            np.add.at(acc, flat, w * vectors[:, c])
-            np.add.at(wsum, flat, w)
+        for j, (corner, wj) in enumerate(_trilinear_stencil(comp.shape, base - np.asarray(off))):
+            flat[j] = np.ravel_multi_index(corner, comp.shape)
+            w[j] = wj
+        acc = np.bincount(flat.reshape(-1), (w * vectors[:, c]).reshape(-1), comp.size)
+        wsum = np.bincount(flat.reshape(-1), w.reshape(-1), comp.size)
         comp.reshape(-1)[:] = np.where(wsum > 0.0, acc / np.maximum(wsum, 1e-300), 0.0)
     return g
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .flip import resample_narrow_band
+from .flip import _band_seeds, resample_narrow_band
 from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGrid,
                     extrapolate_mac, sample_trilinear)
 from .kernels import kernel_scatter
@@ -128,7 +128,8 @@ def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid, dt:
 
 def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
                      cfg: InferenceConfig, dt: float, n_passes: int):
-    """The per-pass displacement fields and the upsampled particle set.
+    """The per-pass displacement fields, the upsampled positions (those of
+    ``resample_narrow_band(x, band_phi, d_b, ..., frame=0)``) and the SDF.
 
     Pass p reseeds the narrow band with jitter keyed on p and predicts on the
     particles within depth ``depths[p % len(depths)] * d_b * cell``. With
@@ -144,9 +145,11 @@ def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
         band_phi = sdf_from_particles(x, desc_f, surface_radius(desc))
     else:
         band_phi = phi
-    upsampled = resample_narrow_band(x, band_phi, cfg.d_b,
-                                     target_per_cell=cfg.band_target_per_cell,
-                                     seed=cfg.seed, frame=0)
+    # the output band: its velocities are re-sampled by the advection, so
+    # only the positions of `resample_narrow_band(..., frame=0)` are built
+    kept, _, seeds = _band_seeds(x, band_phi, cfg.d_b, cfg.band_target_per_cell,
+                                 cfg.seed, 0)
+    upsampled = np.concatenate([kept, seeds])
     band_width = cfg.d_b * band_phi.desc.cell_size
     fields = []
     for p in range(n_passes):
@@ -189,9 +192,10 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
                            u_ext.u + injected.u,
                            u_ext.v + injected.v,
                            u_ext.w + injected.w)
-    if upsampled.count == 0:
-        return upsampled
-    return advect_particles(upsampled, advect_field, dt)
+    if len(upsampled) == 0:
+        return ParticleSet.empty()
+    return advect_particles(ParticleSet(upsampled, np.zeros_like(upsampled)),
+                            advect_field, dt)
 
 
 def surface_roughness(x: ParticleSet, desc: GridDesc, radius: float) -> float:

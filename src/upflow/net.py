@@ -218,6 +218,11 @@ def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
     lexicographically smaller points, then lower indices). Rows are stored
     in canonical lexicographic point order (then index) so all downstream
     reductions are permutation-stable.
+
+    Each row's valid slots form a prefix: slot j is valid exactly when the
+    row has more than j neighbors, and the unused slots hold index 0. The
+    layers rely on this to gather only the columns up to the widest
+    occupied one.
     """
     idx = np.zeros((len(queries), max_neighbors), dtype=np.int64)
     valid = np.zeros((len(queries), max_neighbors), dtype=bool)
@@ -416,19 +421,39 @@ def _mlp_backward(dy: np.ndarray, layers, saved):
     return dy, grads
 
 
+def _gather_width(mask: np.ndarray, channels: int) -> int:
+    """How many leading slot columns of `mask` (n, K) a layer gathers: up to
+    the last column holding a True anywhere (at least 1), since the ones
+    after it are padding. A sum over the slots of an (n, k, channels)
+    array adds slot after slot, so trailing zero slots change no bit,
+    except with one channel: numpy then sums the n * k values pairwise,
+    the padding's zeros take part in the grouping, and all K are kept."""
+    if channels < 2:
+        return mask.shape[1]
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(cols[-1]) + 1 if len(cols) else 1
+
+
 def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
     """Masked max over each row's neighbors of h(parts..., offset), as one
     tape node. Each part is (source tensor, idx, row scale or None) and
-    contributes source[idx] (times scale per row)."""
+    contributes source[idx] (times scale per row).
+
+    Only the slots up to the widest occupied column are gathered (see
+    `_gather_width`): rows fill their valid slots as a prefix
+    (`ball_gather`), so the columns after it are padding, and the batch
+    statistics, the max and the backward read valid slots alone."""
     layers = _layers(params, prefix)
     parents = [src for src, _, _ in parts] + [t for layer in layers for t in layer]
     record = any(t.requires_grad for t in parents)
-    valid = group.valid
+    k = _gather_width(group.valid, min(w.value.shape[1] for w, _, _ in layers))
+    valid = group.valid[:, :k]
+    parts = [(src, idx[:, :k], scale) for src, idx, scale in parts]
     cols = []
     for src, idx, scale in parts:
         v = src.value[idx]
         cols.append(v if scale is None else v * scale[:, None, None])
-    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
+    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets[:, :k]], axis=-1),
                               layers, valid, None, record)
     c = out.shape[2]
     neg = np.where(valid[:, :, None], out, -np.inf)
@@ -475,8 +500,13 @@ def _embed(group: Grouping, smooth: Grouping, low: Tensor, high: Tensor,
 
 def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tensor:
     """Blend of the coarse neighbors' features, concatenated with the skip
-    feature and passed through the MLP, as one tape node."""
+    feature and passed through the MLP, as one tape node. Only the columns
+    up to the widest one with a nonzero weight are gathered; the rest add
+    zeros."""
     idx, weights, order = blend
+    hit = weights != 0.0
+    k = _gather_width(hit, coarse.value.shape[1])
+    idx, weights, hit = idx[:, :k], weights[:, :k], hit[:, :k]
     layers = _layers(params, prefix)
     parents = [coarse, skip] + [t for layer in layers for t in layer]
     record = any(t.requires_grad for t in parents)
@@ -486,7 +516,6 @@ def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tenso
     value, saved = _mlp_forward(inp, layers, None, order, record)
     if not record:
         return Tensor(value)
-    hit = weights != 0.0
     hit_rows = np.nonzero(hit)[0]
 
     def backward(g):

@@ -22,6 +22,7 @@ point in space-time, (x, y, z, t * dt), comes from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,6 +271,51 @@ def _spatial_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=8)
+def _system_pattern(t_frames: int, dims: tuple, smooth: bool):
+    """The CSR sparsity pattern of `build_system`'s A for one stack shape:
+    (indptr, indices, block, pairs, off). `block` (m, 9) holds the data
+    slot of entry (3c + a, 3c + b) of cell c at column 3a + b; `pairs`
+    lists the neighbour cells (ca, cb) of each lattice axis, and `off` the
+    slots of their entries (3 ca + a, 3 cb + a) and transposes. The arrays
+    are read-only: every call with this shape shares them."""
+    shape4 = (t_frames,) + tuple(dims)
+    m = int(np.prod(shape4))
+    n = 3 * m
+    cell = np.arange(m, dtype=np.int64)
+    first = np.repeat(3 * cell, 9)
+    rows = [first + np.tile(np.repeat(np.arange(3), 3), m)]
+    cols = [first + np.tile(np.arange(3), 3 * m)]
+    pairs = []
+    if smooth:
+        lattice = cell.reshape(shape4)
+        for axis in range(4):
+            if shape4[axis] < 2:
+                continue
+            ca = lattice[tuple(slice(0, -1) if a == axis else slice(None)
+                               for a in range(4))].reshape(-1)
+            cb = lattice[tuple(slice(1, None) if a == axis else slice(None)
+                               for a in range(4))].reshape(-1)
+            pairs.append((ca, cb))
+            for a in range(3):
+                rows += [3 * ca + a, 3 * cb + a]
+                cols += [3 * cb + a, 3 * ca + a]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # each (row, col) occurs once; CSR keeps every row's columns ascending
+    order = np.lexsort((cols, rows))
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    # scipy's own index dtype, so that csr_matrix keeps these arrays uncopied
+    idx_dtype = np.int32 if max(len(rows), n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[order].astype(idx_dtype)
+    block, off = slot[:9 * m].reshape(m, 9), slot[9 * m:]
+    for a in (indptr, indices, block, off, *(c for pair in pairs for c in pair)):
+        a.flags.writeable = False
+    return indptr, indices, block, tuple(pairs), off
+
+
 def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
                  penalty: AlignmentPenalty | None,
                  params: FlowParams):
@@ -279,6 +325,13 @@ def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
     cell-major (time, x, y, z) with the 3 vector components interleaved.
     Returns (A: csr_matrix, b: ndarray, delta_sq: float) where delta_sq is
     the residual energy of the zero field (used by energy diagnostics).
+
+    Which entries A stores depends on the stack's shape and on whether
+    beta_s > 0 alone, never on the SDF values (a zero gradient product is
+    stored as 0.0), so the CSR pattern is built once per shape
+    (`_system_pattern`) and each call only fills in the values. Only a
+    diagonal entry sums two terms, the data term's and the smoothness,
+    time and penalty weight's, and that sum does not depend on order.
     """
     if hi.desc != lo.desc or hi.num_frames != lo.num_frames:
         raise GridMismatch("flow solve needs matching grids and frame counts")
@@ -287,58 +340,34 @@ def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
     t_frames = hi.num_frames
     m = t_frames * desc.num_cells
     n = 3 * m
+    indptr, indices, block, pairs, off = _system_pattern(t_frames, tuple(desc.dims),
+                                                         params.beta_s > 0.0)
 
     grad = np.concatenate([_spatial_gradient(f.values, h).reshape(-1, 3)
                            for f in hi.frames])
     delta = (lo.stacked() - hi.stacked()).reshape(-1)
 
-    rows, cols, vals = [], [], []
-    cell_idx = np.arange(m, dtype=np.int64)
-
-    # data term: per-cell 3x3 outer product of the destination gradient
-    for a in range(3):
-        for b_ in range(3):
-            rows.append(3 * cell_idx + a)
-            cols.append(3 * cell_idx + b_)
-            vals.append(grad[:, a] * grad[:, b_])
-
-    # smoothness: graph Laplacian over the 4D lattice, one copy per component
+    # smoothness: graph Laplacian over the 4D lattice, one copy per component;
+    # the diagonal gathers beta_t, the penalty and each axis's pair weights
     diag = np.full(m, params.beta_t)
     if penalty is not None:
         pen = penalty.d.reshape(-1)
         if len(pen) != m:
             raise GridMismatch("penalty shape does not match the space-time stack")
         diag = diag + pen
-    if params.beta_s > 0.0:
-        shape4 = (t_frames,) + desc.dims
-        lattice = cell_idx.reshape(shape4)
-        for axis in range(4):
-            if shape4[axis] < 2:
-                continue
-            sl_lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(4))
-            sl_hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(4))
-            ca = lattice[sl_lo].reshape(-1)
-            cb = lattice[sl_hi].reshape(-1)
-            w = params.beta_s
-            np.add.at(diag, ca, w)
-            np.add.at(diag, cb, w)
-            for a in range(3):
-                rows.append(3 * ca + a)
-                cols.append(3 * cb + a)
-                vals.append(np.full(len(ca), -w))
-                rows.append(3 * cb + a)
-                cols.append(3 * ca + a)
-                vals.append(np.full(len(ca), -w))
+    w = params.beta_s
+    for ca, cb in pairs:
+        diag[ca] += w                  # an axis pairs a cell at most once a side
+        diag[cb] += w
+    data = np.empty(len(indices))
+    data[off] = -w
 
-    for a in range(3):
-        rows.append(3 * cell_idx + a)
-        cols.append(3 * cell_idx + a)
-        vals.append(diag)
+    # data term: per-cell 3x3 outer product of the destination gradient
+    outer = (grad[:, :, None] * grad[:, None, :]).reshape(m, 9)
+    outer[:, ::4] += diag[:, None]
+    data[block] = outer
 
-    a_mat = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    a_mat.sum_duplicates()
+    a_mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     b = (grad * delta[:, None]).reshape(-1)
     return a_mat, b, float(delta @ delta)
 

@@ -8,7 +8,6 @@ nearest-point query, in any dimension, goes through `radius_pairs` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -64,20 +63,23 @@ def nearest_points(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     picks it. The cKDTree's nearest wins outright when its second nearest is
     farther by a relative 1e-6, far beyond its distance rounding; for every
     other query, all points within the nearest distance (plus 1e-9,
-    relatively) are re-checked by d2."""
+    relatively) are re-checked by d2. They come from k-nearest queries,
+    with k doubled until the k-th nearest lies beyond that distance."""
     tree = cKDTree(points)
     dist, idx = tree.query(queries, k=2)
     out = idx[:, 0].copy()
     unsure = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-6))
-    if len(unsure):
-        q = queries[unsure]
-        lists = tree.query_ball_point(q, dist[unsure, 0] * (1.0 + 1e-9), return_sorted=False)
-        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        cols = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
-        rows = np.repeat(np.arange(len(q)), counts)
-        d2 = np.sum((points[cols] - q[rows]) ** 2, axis=1)
-        order = np.lexsort((cols, d2, rows))
-        out[unsure] = cols[order][np.searchsorted(rows[order], np.arange(len(q)))]
+    bound = dist[unsure, 0] * (1.0 + 1e-9)
+    k = 4
+    while len(unsure):
+        k = min(2 * k, len(points))
+        dist, cols = tree.query(queries[unsure], k=k)
+        done = (dist[:, -1] > bound) | (k == len(points))
+        rows, cols = unsure[done], cols[done]
+        d2 = np.sum((points[cols] - queries[rows, None]) ** 2, axis=2)
+        least = d2 == d2.min(axis=1, keepdims=True)
+        out[rows] = np.where(least, cols, len(points)).min(axis=1)
+        unsure, bound = unsure[~done], bound[~done]
     return out
 
 

@@ -559,6 +559,25 @@ def test_scatter_trilinear_equals_the_solver_scatter(kind, seed):
         assert comp.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("emitter, rate, raises", [
+    ((0.5, 0.8, 0.5), 50, True),       # past the container's x = 0.3 wall
+    ((0.5, 0.8, 0.5), 0, False),       # an emitter that is off may lie anywhere
+    ((0.15, 0.8, 0.5), 50, False),
+])
+def test_emitter_must_lie_in_the_container(emitter, rate, raises):
+    # outside the container the emitter's particles all land in the solid:
+    # three frames used to keep 0, 0, 0 particles without a word
+    scene = SceneSpec(obstacle_shape="none", pool_depth=0.0, emit_rate=rate,
+                      emitter_position=emitter, emit_radius=0.05,
+                      container_dims=(0.3, 1.0, 1.0))
+    if raises:
+        with pytest.raises(ValueError, match="emitter .* outside the container"):
+            FlipSolver(scene, small_params(), seed=0)
+    else:
+        solver = FlipSolver(scene, small_params(), seed=0)
+        assert (solver.step().particles.count > 0) == (rate > 0)
+
+
 def test_solid_face_masks_are_built_once_per_solver(monkeypatch):
     axes = []
     real = uflip.face_mask

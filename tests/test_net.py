@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
                     TrainingSample, loss_up)
 from upflow import io as uio
-from upflow.autodiff import Tensor, _unbroadcast, as_tensor, parameter
+from upflow.autodiff import Tensor, _unbroadcast, as_tensor, custom, parameter
 from upflow import net as unet
 from upflow.net import (_BN_EPS, AdamState, DisplacementNet, FeatureSet, Grouping,
                         LevelConfig, NetworkConfig, _farthest_point_sampling,
-                        _init_mlp, _set_conv, _up,
+                        _init_mlp, _layers, _mlp_backward, _mlp_forward,
+                        _scatter_rows, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
                         flow_embedding, lexical_order, loss_gradients,
                         nearest_indices, neighborhood_assignment, sample_loss,
@@ -1160,3 +1161,193 @@ def test_loss_tape_stays_small():
                             np.full((30, 3), 0.02), np.full(30, 0.5))
     loss, _ = sample_loss(DisplacementNet.create(cfg), sample)
     assert _tape_nodes(loss) <= 100
+
+
+# -- occupied-slot layers against the padded ones ------------------------------------
+
+def padded_set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
+    """Masked max over each row's neighbors of h(parts..., offset), as one
+    tape node. Each part is (source tensor, idx, row scale or None) and
+    contributes source[idx] (times scale per row)."""
+    layers = _layers(params, prefix)
+    parents = [src for src, _, _ in parts] + [t for layer in layers for t in layer]
+    record = any(t.requires_grad for t in parents)
+    valid = group.valid
+    cols = []
+    for src, idx, scale in parts:
+        v = src.value[idx]
+        cols.append(v if scale is None else v * scale[:, None, None])
+    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
+                              layers, valid, None, record)
+    c = out.shape[2]
+    neg = np.where(valid[:, :, None], out, -np.inf)
+    any_valid = valid.any(axis=1)
+    value = np.where(any_valid[:, None], neg.max(axis=1), 0.0)
+    if not record:
+        return Tensor(value)
+    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
+    # position of every valid slot among the kept rows; the max reads one
+    # slot per (row, channel), so its gradient is a plain assignment
+    slot = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
+    hit_rows, hit_chans = np.nonzero(np.broadcast_to(any_valid[:, None], arg.shape))
+    hit_slots = slot[hit_rows, arg[hit_rows, hit_chans]]
+    valid_rows = np.nonzero(valid)[0]
+
+    def backward(g):
+        dy = np.zeros((len(valid_rows), c))
+        dy[hit_slots, hit_chans] = g[hit_rows, hit_chans]
+        dx, grads = _mlp_backward(dy, layers, saved)
+        out, a = [], 0
+        for src, idx, scale in parts:
+            b = a + src.value.shape[1]
+            d = dx[:, a:b] if scale is None else dx[:, a:b] * scale[valid_rows, None]
+            out.append(_scatter_rows(idx[valid], d, len(src.value))
+                       if src.requires_grad else None)
+            a = b
+        return out + grads
+    return custom(value, parents, backward)
+
+
+def padded_up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tensor:
+    """Blend of the coarse neighbors' features, concatenated with the skip
+    feature and passed through the MLP, as one tape node."""
+    idx, weights, order = blend
+    layers = _layers(params, prefix)
+    parents = [coarse, skip] + [t for layer in layers for t in layer]
+    record = any(t.requires_grad for t in parents)
+    cc = coarse.value.shape[1]
+    inp = np.concatenate([np.einsum("ik,ikc->ic", weights, coarse.value[idx]),
+                          skip.value], axis=-1)
+    value, saved = _mlp_forward(inp, layers, None, order, record)
+    if not record:
+        return Tensor(value)
+    hit = weights != 0.0
+    hit_rows = np.nonzero(hit)[0]
+
+    def backward(g):
+        dx, grads = _mlp_backward(g, layers, saved)
+        dc = None
+        if coarse.requires_grad:
+            dc = _scatter_rows(idx[hit], weights[hit][:, None] * dx[hit_rows, :cc],
+                               len(coarse.value))
+        return [dc, dx[:, cc:]] + grads
+    return custom(value, parents, backward)
+
+
+def _bits_and_grads(layer, leaves, proj):
+    """The output bytes of `layer()` and, when it records, the gradient
+    bytes of every leaf after back-propagating `proj`."""
+    for t in leaves:
+        t.grad = None
+    out = layer()
+    got = [out.value.tobytes()]
+    if out.requires_grad:
+        (out * proj).sum().backward()
+        got += [None if t.grad is None else t.grad.tobytes() for t in leaves]
+    return got
+
+
+def _packed_cloud(rng, k):
+    """Points with a dense clump (its query row fills all k slots and more),
+    scattered points (partly filled rows) and queries far from every point
+    (empty rows)."""
+    clump = 0.5 + 0.01 * rng.uniform(-1, 1, size=(k + 5, 3))
+    loose = rng.uniform(0.2, 0.8, size=(40, 3))
+    points = np.concatenate([clump, loose])
+    queries = np.concatenate([[[0.5, 0.5, 0.5]], rng.uniform(0.2, 0.8, size=(12, 3)),
+                              [[3.0, 3.0, 3.0], [-2.0, 0.5, 0.5]]])
+    return points, queries
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("layout", ["down", "embed", "random-mask"])
+@pytest.mark.parametrize("widths", [(6, 5), (4, 1)])
+def test_set_conv_on_occupied_slots_equals_the_padded_layer(widths, layout, seed, record):
+    # a one-channel layer's batch-norm sums are pairwise over every slot,
+    # padding included: the layer must not drop the padding then
+    rng = np.random.default_rng(seed)
+    k = 8 if seed % 2 else 32
+    points, queries = _packed_cloud(rng, k)
+    if layout == "random-mask":
+        # any mask, not only ball_gather's prefixes; some columns stay empty
+        valid = rng.uniform(size=(len(queries), k)) < 0.3
+        valid[:, k // 2:] = False
+        valid[-2:] = False
+        idx = rng.integers(0, len(points), size=valid.shape)
+    else:
+        idx, valid = ball_gather(points, queries, 0.15, k)
+        assert valid[0].all() and not valid[-2:].any()
+    group = Grouping(idx, valid, rng.normal(size=idx.shape + (3,)))
+    leaf = parameter if record else as_tensor
+    c = 3
+    src = leaf(rng.normal(size=(len(points), c)))
+    if layout == "embed":
+        low = leaf(rng.normal(size=(len(queries), c)))
+        self_idx = np.repeat(np.arange(len(queries))[:, None], k, axis=1)
+        parts, leaves = [(low, self_idx, None), (src, idx, None)], [low, src]
+    else:
+        parts, leaves = [(src, idx, rng.uniform(0.0, 2.0, size=len(queries)))], [src]
+    params = {}
+    _init_mlp(rng, params, "sc", sum(p[0].value.shape[1] for p in parts) + 3, widths)
+    for t in params.values():
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+        t.requires_grad = record
+    leaves += list(params.values())
+    proj = rng.normal(size=(len(queries), widths[-1]))
+    want = _bits_and_grads(lambda: padded_set_conv(parts, group, params, "sc"), leaves, proj)
+    got = _bits_and_grads(lambda: _set_conv(parts, group, params, "sc"), leaves, proj)
+    assert len(got) == (1 + len(leaves) if record else 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("channels", [4, 1])
+def test_up_on_occupied_slots_equals_the_padded_layer(channels, seed, record):
+    # one coarse channel: the blend's einsum sums the slots pairwise
+    rng = np.random.default_rng(seed)
+    k = 8 if seed % 2 else 32
+    clump = np.array([0.9, 0.9, 0.9])
+    coarse_pts = np.concatenate([rng.uniform(0.1, 0.6, size=(20, 3)),
+                                 clump + 0.01 * rng.uniform(-1, 1, size=(k + 3, 3))])
+    # scattered fine points see a few coarse points or none (dead rows, which
+    # fall back to the nearest); the last-but-one fills all k slots
+    fine_pts = np.concatenate([rng.uniform(0.1, 0.6, size=(30, 3)), [clump, [5.0, 5.0, 5.0]]])
+    leaf = parameter if record else as_tensor
+    coarse = leaf(rng.normal(size=(len(coarse_pts), channels)))
+    params = {}
+    _init_mlp(rng, params, "up", channels + 2, (5, 3))
+    for t in params.values():
+        t.value += 0.3 * rng.normal(size=t.value.shape)
+        t.requires_grad = record
+    widths = []
+    for fine in (fine_pts, fine_pts[:30]):
+        blend = up_geometry(coarse_pts, fine, 0.13, k)
+        widths.append(int(np.flatnonzero((blend[1] != 0.0).any(axis=0))[-1]) + 1)
+        skip = leaf(rng.normal(size=(len(fine), 2)))
+        leaves = [coarse, skip] + list(params.values())
+        proj = rng.normal(size=(len(fine), 3))
+        want = _bits_and_grads(lambda: padded_up(blend, coarse, skip, params, "up"),
+                               leaves, proj)
+        got = _bits_and_grads(lambda: _up(blend, coarse, skip, params, "up"), leaves, proj)
+        assert got == want
+    assert widths[0] == k and widths[1] < k
+    assert np.array_equal(up_geometry(coarse_pts, fine_pts, 0.13, k)[1][-1], np.eye(k)[0])
+
+
+def test_predict_keeps_its_memory_peak_small():
+    # the padded layers gathered (N, 32, C) arrays for rows holding a few
+    # neighbours: 28.6 MB on this band
+    rng = np.random.default_rng(7)
+    x = np.array([0.25, 0.25, 0.25]) + 0.1 * rng.uniform(-1, 1, size=(1600, 3))
+    low = ParticleSet(x, 0.1 * rng.normal(size=x.shape))
+    high = ParticleSet(x + 0.002 * rng.normal(size=x.shape), low.velocities)
+    model = DisplacementNet.create(NetworkConfig.default(600, 0.0125))
+    tracemalloc.start()
+    try:
+        model.predict(low, high)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -9,7 +9,7 @@ from upflow import (AlignmentPenalty, DeformationField, FlowParams, GridDesc,
                     SpaceTimeSDF, alignment_penalty, apply_deformation,
                     build_system, complex_cells, feature_points,
                     flow_interpolate, solution_fields, solve_flow)
-from upflow.optflow import quadratic_energy
+from upflow.optflow import _spatial_gradient, quadratic_energy
 
 
 def sphere_sdf(desc, center, radius):
@@ -312,6 +312,103 @@ def test_grid_mismatch_in_build():
     b = GridDesc((0, 0, 0), 0.2, (4, 4, 4))
     with pytest.raises(GridMismatch):
         build_system(_flat_surface_stack(a), _flat_surface_stack(b), None, FlowParams())
+
+
+def coo_build_system(hi, lo, penalty, params):
+    """`build_system` as it was, through COO triplets and `sum_duplicates`,
+    kept verbatim as the reference of the fixed-pattern assembly."""
+    if hi.desc != lo.desc or hi.num_frames != lo.num_frames:
+        raise GridMismatch("flow solve needs matching grids and frame counts")
+    desc = hi.desc
+    h = desc.cell_size
+    t_frames = hi.num_frames
+    m = t_frames * desc.num_cells
+    n = 3 * m
+
+    grad = np.concatenate([_spatial_gradient(f.values, h).reshape(-1, 3)
+                           for f in hi.frames])
+    delta = (lo.stacked() - hi.stacked()).reshape(-1)
+
+    rows, cols, vals = [], [], []
+    cell_idx = np.arange(m, dtype=np.int64)
+
+    # data term: per-cell 3x3 outer product of the destination gradient
+    for a in range(3):
+        for b_ in range(3):
+            rows.append(3 * cell_idx + a)
+            cols.append(3 * cell_idx + b_)
+            vals.append(grad[:, a] * grad[:, b_])
+
+    # smoothness: graph Laplacian over the 4D lattice, one copy per component
+    diag = np.full(m, params.beta_t)
+    if penalty is not None:
+        pen = penalty.d.reshape(-1)
+        if len(pen) != m:
+            raise GridMismatch("penalty shape does not match the space-time stack")
+        diag = diag + pen
+    if params.beta_s > 0.0:
+        shape4 = (t_frames,) + desc.dims
+        lattice = cell_idx.reshape(shape4)
+        for axis in range(4):
+            if shape4[axis] < 2:
+                continue
+            sl_lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(4))
+            sl_hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(4))
+            ca = lattice[sl_lo].reshape(-1)
+            cb = lattice[sl_hi].reshape(-1)
+            w = params.beta_s
+            np.add.at(diag, ca, w)
+            np.add.at(diag, cb, w)
+            for a in range(3):
+                rows.append(3 * ca + a)
+                cols.append(3 * cb + a)
+                vals.append(np.full(len(ca), -w))
+                rows.append(3 * cb + a)
+                cols.append(3 * ca + a)
+                vals.append(np.full(len(ca), -w))
+
+    for a in range(3):
+        rows.append(3 * cell_idx + a)
+        cols.append(3 * cell_idx + a)
+        vals.append(diag)
+
+    a_mat = sp.csr_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
+    a_mat.sum_duplicates()
+    b = (grad * delta[:, None]).reshape(-1)
+    return a_mat, b, float(delta @ delta)
+
+
+def _system_bytes(system):
+    a_mat, b, delta_sq = system
+    return [(x.dtype, x.tobytes()) for x in (a_mat.data, a_mat.indices, a_mat.indptr, b)] \
+        + [delta_sq]
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3])
+@pytest.mark.parametrize("dims", [(4, 4, 4), (5, 3, 6), (2, 4, 2)])
+@pytest.mark.parametrize("beta_s", [0.0, 0.5])
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_build_system_equals_the_coo_assembly(frames, dims, beta_s, with_penalty):
+    rng = np.random.default_rng([frames, *dims])
+    desc = GridDesc((0.1, -0.2, 0.3), 0.1, dims)
+    y = desc.cell_centers()[..., 1]
+    params = FlowParams(beta_s=beta_s)
+    for _ in range(2):                  # the second stack reuses the pattern
+        # planes falling along y give gradient products of -0.0, flat
+        # frames exact zeros, the noisy frames every sign
+        hi = SpaceTimeSDF([ScalarGrid(desc, v) for v in
+                           (0.3 - y, np.zeros(dims), rng.normal(size=dims))[:frames]])
+        lo = SpaceTimeSDF([ScalarGrid(desc, rng.normal(size=dims)) for _ in range(frames)])
+        penalty = None
+        if with_penalty:
+            d = np.where(rng.uniform(size=(frames,) + dims) < 0.3,
+                         rng.uniform(0.0, 10.0, size=(frames,) + dims), 0.0)
+            penalty = AlignmentPenalty(d)
+        got = build_system(hi, lo, penalty, params)
+        assert _system_bytes(got) == _system_bytes(coo_build_system(hi, lo, penalty, params))
+        assert got[0].has_canonical_format
 
 
 # -- solving ----------------------------------------------------------------------

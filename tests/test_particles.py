@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,20 @@ def test_nearest_points_settles_near_ties_by_d2():
     queries = np.concatenate([base, rng.uniform(size=(50, 3))])
     d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
     assert np.array_equal(nearest_points(points, queries), np.argmin(d2, axis=1))
+
+
+def test_nearest_points_settles_many_way_ties():
+    # 30 points exactly 3 from the origin, (+-3, 0, 0) and (+-2, +-2, +-1)
+    # up to axis order: more ties than the first k-nearest queries hold, so
+    # k doubles until the ties fit, or until it covers every point
+    ring = np.array([p for p in itertools.product(range(-3, 4), repeat=3)
+                     if sum(c * c for c in p) == 9], dtype=float)
+    assert len(ring) == 30
+    rng = np.random.default_rng(3)
+    far = rng.uniform(4.0, 6.0, size=(40, 3)) * rng.choice([-1.0, 1.0], size=(40, 3))
+    queries = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-9], [5.0, 5.0, 5.0]])
+    for seed in range(4):
+        for points in (np.concatenate([ring, far]), ring):
+            points = points[np.random.default_rng(seed).permutation(len(points))]
+            d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+            assert np.array_equal(nearest_points(points, queries), np.argmin(d2, axis=1))

@@ -1,5 +1,6 @@
 """Checks on the source tree itself."""
 
+import ast
 import glob
 import importlib
 import importlib.util
@@ -72,3 +73,16 @@ def test_only_grids_spells_a_face_shape():
     users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
                    if any(s in open(p).read() for s in ("nx + 1", "ny + 1", "nz + 1")))
     assert [u for u in users if u != "grids.py"] == []
+
+
+def test_no_unbuffered_scatter():
+    # np.add.at adds one element at a time; every scatter in the library
+    # sums through np.bincount, which keeps its order at a fraction of the cost
+    src = os.path.dirname(os.path.abspath(upflow.__file__))
+    users = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Attribute) and node.attr == "at" \
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "add":
+                users.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert users == []
