@@ -156,6 +156,14 @@ def _cmd_train(args):
           f"checkpoint {args.ckpt}")
 
 
+def _time_step(text: str) -> float:
+    """argparse type of --dt: a finite number > 0."""
+    dt = float(text)
+    if not 0.0 < dt < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a time step > 0, got {text!r}")
+    return dt
+
+
 def _cmd_infer(args):
     names = sorted(n for n in os.listdir(args.input) if n.endswith(".upf"))
     if not names:
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--out", required=True)
-    p.add_argument("--dt", type=float, default=1.0 / 30.0)
+    p.add_argument("--dt", type=_time_step, required=True)
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("eval", help="end-point error and flow accuracy")

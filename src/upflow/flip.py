@@ -17,6 +17,7 @@ emission and the push-out of advected particles test the same region.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,10 @@ import scipy.sparse as sp
 from .errors import SolverDiverged, check_positive
 from .grids import (GridDesc, MACGrid, ScalarGrid, extrapolate_mac, face_mask, pcg,
                     sample_trilinear, scatter_trilinear)
-from .kernels import kernel_k
-from .particles import ParticleSet, advect_particles, hash_uniform, radius_pairs
+from .particles import ParticleSet, advect_particles, hash_uniform, nearest_points
 
 SHAPES = ("sphere", "cube", "cylinder", "torus", "wedge", "frame")
+_PUSH_RETRIES = 4          # push-out steps after the first, for particles still inside
 
 
 @dataclass
@@ -160,19 +161,25 @@ class FlipSolver:
     # -- setup -----------------------------------------------------------
 
     def _check_geometry(self):
+        """Reject an obstacle or an emitter outside the domain, and an emitter
+        outside the container (it would emit into the solid: nothing). A
+        scene without an obstacle or with the emitter off does not use that
+        position, so it is not checked."""
+        s = self.scene
         lo = np.asarray(self.desc.origin)
         hi = self.desc.upper
-        for name, pos in (("obstacle", self.scene.obstacle_position),
-                          ("emitter", self.scene.emitter_position)):
+        used = [("obstacle", s.obstacle_position)] if s.obstacle_shape != "none" else []
+        if s.emit_rate > 0:
+            used.append(("emitter", s.emitter_position))
+        for name, pos in used:
             p = np.asarray(pos)
             if np.any(p < lo) or np.any(p > hi):
                 raise ValueError(f"{name} position {pos} lies outside the domain")
-        # an emitter outside the container emits into the solid: nothing
-        top = lo + np.asarray(self.scene.container_dims)
-        emitter = np.asarray(self.scene.emitter_position)
-        if self.scene.emit_rate > 0 and (np.any(emitter < lo) or np.any(emitter > top)):
-            raise ValueError(f"emitter position {self.scene.emitter_position} lies outside "
-                             f"the container {self.scene.container_dims}")
+        top = lo + np.asarray(s.container_dims)
+        emitter = np.asarray(s.emitter_position)
+        if s.emit_rate > 0 and (np.any(emitter < lo) or np.any(emitter > top)):
+            raise ValueError(f"emitter position {s.emitter_position} lies outside "
+                             f"the container {s.container_dims}")
 
     def _stratified_fill(self, cells: np.ndarray, tag: int) -> np.ndarray:
         """Jittered per-cell seeding of `particles_per_cell` positions."""
@@ -313,22 +320,36 @@ class FlipSolver:
             r * (self.particles.velocities + v_new - v_old) + (1.0 - r) * v_new)
 
     def _push_out_of_solids(self, pos: np.ndarray) -> np.ndarray:
+        """Clamp positions into the open box, then step every particle inside
+        the obstacle to a quarter cell outside its surface, along the SDF's
+        central-difference gradient. Near a thin wall or an edge that step can
+        land inside again, so the particles still inside are pushed again, up
+        to `_PUSH_RETRIES` more times; any left inside after that are counted
+        in a warning."""
         h = self.desc.cell_size
         eps = 1e-4 * h
         pos = np.clip(pos, self.box[0] + eps, self.box[1] - eps)
         phi = self._obstacle_phi(pos)
-        inside = phi < 0.0
-        if inside.any():
-            step = 0.5 * h
-            grad = np.zeros((inside.sum(), 3))
+        inside = np.flatnonzero(phi < 0.0)
+        phi = phi[inside]
+        step = 0.5 * h
+        for _ in range(1 + _PUSH_RETRIES):
+            if not len(inside):
+                return pos
+            q = pos[inside]
+            grad = np.zeros((len(inside), 3))
             for a in range(3):
                 d = np.zeros(3)
                 d[a] = step
-                grad[:, a] = (self._obstacle_phi(pos[inside] + d)
-                              - self._obstacle_phi(pos[inside] - d)) / (2 * step)
+                grad[:, a] = (self._obstacle_phi(q + d) - self._obstacle_phi(q - d)) / (2 * step)
             norm = np.linalg.norm(grad, axis=1, keepdims=True)
             grad = np.where(norm > 0, grad / np.maximum(norm, 1e-12), 0.0)
-            pos[inside] -= grad * (phi[inside][:, None] - 0.25 * h)
+            pos[inside] = q - grad * (phi[:, None] - 0.25 * h)
+            phi = self._obstacle_phi(pos[inside])
+            still = phi < 0.0
+            inside, phi = inside[still], phi[still]
+        warnings.warn(f"{len(inside)} particles remain inside the {self.scene.obstacle_shape} "
+                      f"obstacle after {1 + _PUSH_RETRIES} push-out steps", RuntimeWarning)
         return pos
 
     # -- stepping --------------------------------------------------------
@@ -394,48 +415,12 @@ def resample_narrow_band(p: ParticleSet, phi: ScalarGrid, d_b: int,
     Particles outside the liquid or deeper than ``d_b`` cells are dropped;
     underfull band cells are refilled with jittered seeds (deterministic in
     (seed, frame, cell, slot)); overfull cells are thinned to the target.
-    New particles take the kernel-weighted velocity of nearby survivors.
+    The survivors come first, with their own velocities, then the seeds.
+    Each seed copies the velocity of its nearest survivor (the lowest index
+    among equally near ones), so every velocity in the band is one the
+    input carried; seeds get zero velocity when no particle survives.
     Raises ValueError for ``d_b`` or ``target_per_cell`` below 1.
     """
-    pos, vel, added = _band_seeds(p, phi, d_b, target_per_cell, seed, frame)
-    if len(added):
-        r = 2.0 * phi.desc.cell_size
-        rows, cols, d2 = radius_pairs(pos, added, r)
-        # each seed sums its neighbours ordered by (cell of side r, index):
-        # rank the survivors in that order once, then sort the pairs by
-        # (seed, rank), which is the same order as sorting on all five keys
-        key = np.floor(pos / r).astype(np.int64)
-        point_rank = np.empty(len(pos), dtype=np.int64)
-        point_rank[np.lexsort((key[:, 2], key[:, 1], key[:, 0]))] = np.arange(len(pos))
-        order = np.argsort(rows * len(pos) + point_rank[cols])
-        cols = cols[order]
-        w = kernel_k(np.sqrt(d2[order]) / r)
-        wv = w[:, None] * vel[cols]
-        bounds = np.searchsorted(rows[order], np.arange(len(added) + 1))
-        first, sizes = bounds[:-1], np.diff(bounds)
-        # seeds with the same neighbour count sum as the rows of one block;
-        # each row reduces over its own contiguous axis, in the order a
-        # slice of that length sums in (np.add.reduceat does not keep it)
-        tot = np.zeros(len(added))
-        acc = np.zeros_like(added)
-        for n in np.unique(sizes[sizes > 0]):
-            seeds = np.flatnonzero(sizes == n)
-            idx = first[seeds, None] + np.arange(n)
-            tot[seeds] = w[idx].sum(axis=1)
-            acc[seeds] = wv[idx].sum(axis=1)
-        live = tot > 0
-        avel = np.zeros_like(added)
-        avel[live] = acc[live] / tot[live, None]
-        pos = np.concatenate([pos, added])
-        vel = np.concatenate([vel, avel])
-    return ParticleSet(pos, vel)
-
-
-def _band_seeds(p: ParticleSet, phi: ScalarGrid, d_b: int, target_per_cell: int,
-                seed: int, frame: int):
-    """The positions half of `resample_narrow_band`: the surviving band
-    particles (positions, velocities) and the new seeds' positions. Callers
-    that re-sample every velocity afterwards skip the seeds' velocities."""
     if d_b < 1:
         raise ValueError(f"d_b must be >= 1, got {d_b}")
     if target_per_cell < 1:
@@ -479,4 +464,9 @@ def _band_seeds(p: ParticleSet, phi: ScalarGrid, d_b: int, target_per_cell: int,
     rank = np.empty(len(pos), dtype=np.int64)
     rank[order] = np.arange(len(pos)) - np.searchsorted(flat_sorted, flat_sorted)
     keep2 = rank < target_per_cell
-    return pos[keep2], vel[keep2], added
+    pos, vel = pos[keep2], vel[keep2]
+    if len(added):
+        seed_vel = vel[nearest_points(pos, added)] if len(pos) else np.zeros_like(added)
+        pos = np.concatenate([pos, added])
+        vel = np.concatenate([vel, seed_vel])
+    return ParticleSet(pos, vel)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .flip import _band_seeds, resample_narrow_band
+from .flip import resample_narrow_band
 from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGrid,
                     extrapolate_mac, sample_trilinear)
 from .kernels import kernel_scatter
@@ -145,11 +145,10 @@ def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
         band_phi = sdf_from_particles(x, desc_f, surface_radius(desc))
     else:
         band_phi = phi
-    # the output band: its velocities are re-sampled by the advection, so
-    # only the positions of `resample_narrow_band(..., frame=0)` are built
-    kept, _, seeds = _band_seeds(x, band_phi, cfg.d_b, cfg.band_target_per_cell,
-                                 cfg.seed, 0)
-    upsampled = np.concatenate([kept, seeds])
+    # the output band: the advection re-samples every velocity, so only its
+    # positions are kept
+    upsampled = resample_narrow_band(x, band_phi, cfg.d_b, cfg.band_target_per_cell,
+                                     cfg.seed, 0).positions
     band_width = cfg.d_b * band_phi.desc.cell_size
     fields = []
     for p in range(n_passes):

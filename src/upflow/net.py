@@ -179,12 +179,16 @@ def farthest_point_indices(points: np.ndarray, n: int) -> np.ndarray:
 def _farthest_point_sampling(points: np.ndarray, n: int):
     """`farthest_point_indices` and every point's final distance to the
     sampled set. Distances are sqrt((dx*dx + dy*dy) + dz*dz) over
-    contiguous coordinate columns, the bits `np.linalg.norm` gives."""
+    contiguous coordinate columns, the bits `np.linalg.norm` gives.
+
+    The sampling runs over the points in lexical order, so the first of
+    several equal maxima, the one `argmax` picks, is the lexicographically
+    smallest (the lowest index among equal points, as the sort is stable)."""
     m = len(points)
     n = min(n, m)
-    x, y, z = np.ascontiguousarray(points.T)
-    first = int(lexical_order(points)[0])
-    chosen = [first]
+    order = lexical_order(points)
+    x, y, z = np.ascontiguousarray(points[order].T)
+    chosen = [0]
     d, near, sq = np.empty(m), np.empty(m), np.empty(m)
 
     def dist_to(i, out):
@@ -196,17 +200,15 @@ def _farthest_point_sampling(points: np.ndarray, n: int):
             np.add(out, sq, out=out)
         np.sqrt(out, out=out)
 
-    dist_to(first, d)
+    dist_to(0, d)
     for _ in range(1, n):
-        top = d.max()
-        cand = np.flatnonzero(d == top)
-        if len(cand) > 1:
-            cand = cand[lexical_order(points[cand])]
-        nxt = int(cand[0])
+        nxt = int(d.argmax())
         chosen.append(nxt)
         dist_to(nxt, near)
         np.minimum(d, near, out=d)
-    return np.asarray(chosen, dtype=np.int64), d
+    dist = np.empty(m)
+    dist[order] = d
+    return order[chosen], dist
 
 
 def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
@@ -224,16 +226,21 @@ def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
     layers rely on this to gather only the columns up to the widest
     occupied one.
     """
+    n = len(points)
     idx = np.zeros((len(queries), max_neighbors), dtype=np.int64)
     valid = np.zeros((len(queries), max_neighbors), dtype=bool)
     rows, cols, d2 = radius_pairs(points, queries, radius)
-    for keys in ((np.sqrt(d2),), ()):      # the K nearest, then canonical order
-        p = points[cols]
-        order = np.lexsort((cols, p[:, 2], p[:, 1], p[:, 0], *keys, rows))
-        rows, cols, d2 = rows[order], cols[order], d2[order]
-        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        keep = slot < max_neighbors
-        rows, cols, d2, slot = rows[keep], cols[keep], d2[keep], slot[keep]
+    rank = np.empty(n, dtype=np.int64)             # canonical order: (x, y, z, index)
+    rank[lexical_order(points)] = np.arange(n)
+    if len(rows) and np.bincount(rows).max() > max_neighbors:
+        # the K nearest of each row, ties toward the canonically smaller point
+        order = np.lexsort((rank[cols], np.sqrt(d2), rows))
+        rows, cols = rows[order], cols[order]
+        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < max_neighbors
+        rows, cols = rows[keep], cols[keep]
+    order = np.argsort(rows * n + rank[cols])       # unique keys: any sort agrees
+    rows, cols = rows[order], cols[order]
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
     idx[rows, slot] = cols
     valid[rows, slot] = True
     return idx, valid
@@ -273,11 +280,23 @@ class Grouping:
     scale: np.ndarray | None = None
 
 
+def _slot_weights(points: np.ndarray, idx: np.ndarray, centers: np.ndarray,
+                  valid: np.ndarray, radius: float) -> np.ndarray:
+    """kernel_k(|points[idx] - center| / radius) at the valid slots, in a
+    zero (n, K) array. Distances and kernels are computed only up to the
+    widest occupied column (`_gather_width`); the array keeps all K columns,
+    so its row sums add as many terms, and round as, the padded ones did."""
+    k = _gather_width(valid, 3)
+    w = np.zeros(valid.shape)
+    dist = np.linalg.norm(points[idx[:, :k]] - centers[:, None, :], axis=2)
+    w[:, :k] = kernel_k(dist / radius) * valid[:, :k]
+    return w
+
+
 def down_geometry(points: np.ndarray, centers: np.ndarray, level: LevelConfig) -> Grouping:
     idx, valid = ball_gather(points, centers, level.radius, level.max_neighbors)
     npos = points[idx]                                      # (n, K, 3)
-    dist = np.linalg.norm(npos - centers[:, None, :], axis=2)
-    w = kernel_k(dist / level.radius) * valid
+    w = _slot_weights(points, idx, centers, valid, level.radius)
     wsum = w.sum(axis=1)
     has = wsum > 0.0
     wn = np.where(has[:, None], w / np.maximum(wsum, 1e-300)[:, None], 0.0)
@@ -301,8 +320,7 @@ def up_geometry(coarse: np.ndarray, fine: np.ndarray, radius: float, max_neighbo
     """An upsampling blend: coarse neighbors of every fine point, their
     normalized weights, and the canonical order of the fine points."""
     idx, valid = ball_gather(coarse, fine, radius, max_neighbors)
-    dist = np.linalg.norm(coarse[idx] - fine[:, None, :], axis=2)
-    w = kernel_k(dist / radius) * valid
+    w = _slot_weights(coarse, idx, fine, valid, radius)
     wsum = w.sum(axis=1)
     dead = wsum <= 0.0
     if dead.any():
@@ -310,7 +328,8 @@ def up_geometry(coarse: np.ndarray, fine: np.ndarray, radius: float, max_neighbo
         w[dead] = 0.0
         w[dead, 0] = 1.0
         wsum = w.sum(axis=1)
-    return idx, w / wsum[:, None], lexical_order(fine)
+    w /= wsum[:, None]
+    return idx, w, lexical_order(fine)
 
 
 def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -422,7 +441,8 @@ def _mlp_backward(dy: np.ndarray, layers, saved):
 
 
 def _gather_width(mask: np.ndarray, channels: int) -> int:
-    """How many leading slot columns of `mask` (n, K) a layer gathers: up to
+    """How many leading slot columns of `mask` (n, K) a layer gathers (and
+    its geometry computes distances and kernel weights over): up to
     the last column holding a True anywhere (at least 1), since the ones
     after it are padding. A sum over the slots of an (n, k, channels)
     array adds slot after slot, so trailing zero slots change no bit,

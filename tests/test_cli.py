@@ -45,6 +45,8 @@ extent = 0.5,0.5,0.5
 dt = 0.025
 """
 
+SIM_DT = "0.025"          # the frame step of both tracks in GEN_CFG
+
 NET_CFG = """
 [net]
 counts = 12,6,3
@@ -230,8 +232,20 @@ def test_infer_pairs_grids_by_name(workspace, tmp_path):
         smoothing_convs=0, upconv_widths=((2,),))).save(str(ckpt))
     with pytest.raises(SystemExit) as err:
         main(["infer", "--input", str(infer_in), "--ckpt", str(ckpt),
-              "--out", str(tmp_path / "out")])
+              "--out", str(tmp_path / "out"), "--dt", SIM_DT])
     assert "vel_low_001.ugr" in str(err.value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", [None, "0", "-0.025", "nan", "inf", "soon"])
+def test_infer_requires_a_positive_time_step(tmp_path, capsys, dt):
+    # a missing --dt used to advect the input motion by 1/30 s, silently
+    argv = ["infer", "--input", str(tmp_path), "--ckpt", str(tmp_path / "m.ffn"),
+            "--out", str(tmp_path / "out")] + ([] if dt is None else ["--dt", dt])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--dt" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -269,7 +283,7 @@ def test_train_and_infer_and_eval(workspace):
     infer_in = _copy_frames(pair, root / "infer_in", "low_*.upf", "vel_low_*.ugr")
     infer_out = root / "infer_out"
     assert main(["infer", "--input", str(infer_in), "--ckpt", str(ckpt),
-                 "--passes", "2", "--out", str(infer_out)]) == 0
+                 "--passes", "2", "--out", str(infer_out), "--dt", SIM_DT]) == 0
     frames = sorted(os.listdir(infer_out))
     assert len(frames) == 2
     up = uio.load_particles(str(infer_out / frames[0]))

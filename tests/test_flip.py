@@ -10,8 +10,7 @@ from upflow import grids as ugrids
 from upflow.errors import SolverDiverged
 from upflow.flip import shape_sdf
 from upflow.grids import FACE_OFFSETS, pcg, scatter_trilinear
-from upflow.kernels import kernel_k
-from upflow.particles import hash_uniform, radius_pairs
+from upflow.particles import hash_uniform
 
 
 def still_pool_scene():
@@ -309,19 +308,14 @@ def test_resample_inherits_nearby_velocity():
     assert np.allclose(out.velocities[same_cell][:, 0], 2.0)
 
 
-def loop_velocity_fill(pos, vel, added, r):
-    """The per-particle loop resample_narrow_band fills seed velocities
-    with, over a brute-force search returning candidates in the (cell of
-    side r, index) order of the spatial hash it used."""
+def loop_nearest_survivor_velocity(pos, vel, added):
+    """Each seed's velocity as the brute-force argmin of d2 over the
+    survivors picks it (the lowest index among equally near ones); zero
+    when there is no survivor."""
     avel = np.zeros_like(added)
-    key = np.floor(pos / r).astype(np.int64)
     for i, x in enumerate(added):
-        idx = np.flatnonzero(np.sum((pos - x) ** 2, axis=1) <= r * r)
-        idx = idx[np.lexsort((idx, key[idx, 2], key[idx, 1], key[idx, 0]))]
-        if len(idx):
-            w = kernel_k(np.linalg.norm(pos[idx] - x, axis=1) / r)
-            if w.sum() > 0:
-                avel[i] = (w[:, None] * vel[idx]).sum(axis=0) / w.sum()
+        if len(pos):
+            avel[i] = vel[np.argmin(np.sum((pos - x) ** 2, axis=1))]
     return avel
 
 
@@ -341,13 +335,56 @@ def test_resample_seed_velocities_equal_the_loop():
         n = len(pts)
         assert np.array_equal(out.positions[:n], pts)
         assert np.array_equal(out.velocities[:n], vel)
-        want = loop_velocity_fill(pts, vel, out.positions[n:], 2 * desc.cell_size)
+        want = loop_nearest_survivor_velocity(pts, vel, out.positions[n:])
         assert np.array_equal(out.velocities[n:], want)
 
 
+def test_resample_seeds_tied_between_survivors_take_the_lowest_index():
+    # two survivors at every lattice site, each with its own velocity, so
+    # every seed is equally near to at least two of them
+    desc = GridDesc((0, 0, 0), 0.1, (4, 4, 4))
+    phi = ScalarGrid(desc, np.full(desc.dims, -0.01))
+    site = np.stack(np.meshgrid(*[np.arange(0.0, 0.45, 0.2)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    pts = np.concatenate([site[::-1], site])
+    vel = np.arange(pts.size, dtype=np.float64).reshape(-1, 3)
+    out = resample_narrow_band(ParticleSet(pts, vel), phi, d_b=1, target_per_cell=3)
+    n = len(pts)
+    assert np.array_equal(out.velocities[:n], vel)
+    want = loop_nearest_survivor_velocity(pts, vel, out.positions[n:])
+    assert np.array_equal(out.velocities[n:], want)
+    d2 = np.sum((out.positions[n:, None] - pts[None]) ** 2, axis=2)
+    assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+
+
+def test_resample_makes_one_nearest_search_and_no_radius_search(monkeypatch):
+    import upflow.particles as uparticles
+
+    calls = []
+
+    def no_radius_search(*args, **kwargs):
+        raise AssertionError("resample_narrow_band ran a radius search")
+
+    def counting(points, queries):
+        calls.append(len(queries))
+        return real(points, queries)
+
+    real = uflip.nearest_points
+    monkeypatch.setattr(uparticles, "radius_pairs", no_radius_search)
+    monkeypatch.setattr(uflip, "radius_pairs", no_radius_search, raising=False)
+    monkeypatch.setattr(uflip, "nearest_points", counting)
+    desc, phi = _band_fixture()
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.05, 0.95, size=(300, 3))
+    out = resample_narrow_band(ParticleSet(pts, rng.normal(size=pts.shape)), phi, d_b=2,
+                               target_per_cell=4)
+    # one search, with the new seeds as its queries
+    assert len(calls) == 1 and 0 < calls[0] < out.count
+
+
 def loop_resample_narrow_band(p, phi, d_b, target_per_cell=8, seed=0, frame=0):
-    """resample_narrow_band as it was with one loop per underfull cell and
-    one per new seed: the reference the whole-array passes must equal."""
+    """resample_narrow_band with one loop per underfull cell and one per
+    new seed: the reference the whole-array passes must equal."""
     if d_b < 1:
         raise ValueError(f"d_b must be >= 1, got {d_b}")
     desc = phi.desc
@@ -395,19 +432,7 @@ def loop_resample_narrow_band(p, phi, d_b, target_per_cell=8, seed=0, frame=0):
 
     added = np.concatenate([np.zeros((0, 3))] + new_pos)
     if len(added):
-        avel = np.zeros_like(added)
-        r = 2.0 * h
-        rows, cols, d2 = radius_pairs(pos, added, r)
-        # each particle sums its neighbours ordered by (cell of side r, index)
-        key = np.floor(pos[cols] / r).astype(np.int64)
-        order = np.lexsort((cols, key[:, 2], key[:, 1], key[:, 0], rows))
-        rows, cols = rows[order], cols[order]
-        w = kernel_k(np.sqrt(d2[order]) / r)
-        bounds = np.searchsorted(rows, np.arange(len(added) + 1))
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            tot = w[a:b].sum()
-            if tot > 0:
-                avel[i] = (w[a:b, None] * vel[cols[a:b]]).sum(axis=0) / tot
+        avel = loop_nearest_survivor_velocity(pos, vel, added)
         pos = np.concatenate([pos, added])
         vel = np.concatenate([vel, avel])
     return ParticleSet(pos, vel)
@@ -469,13 +494,13 @@ def test_resample_equals_the_loop_on_full_and_candidate_free_cells():
     ci = desc.cell_index(out.positions)
     assert not np.all(ci == (1, 1, 1), axis=1).any()
     assert np.all(ci == (3, 3, 3), axis=1).sum() == 4
-    # seeds with no survivor within 2h keep a zero velocity
+    # seeds far from every survivor still copy the nearest one's velocity
     survivors = out.positions[:5]
     seeds = out.positions[5:]
     d = np.linalg.norm(seeds[:, None] - survivors[None], axis=2).min(axis=1)
     lonely = d > 2 * desc.cell_size
-    assert lonely.any() and not out.velocities[5:][lonely].any()
-    assert out.velocities[5:][~lonely].any()
+    copied = (out.velocities[5:, None] == out.velocities[None, :5]).all(axis=2)
+    assert lonely.any() and copied.sum(axis=1).tolist() == [1] * len(seeds)
 
 
 def test_resample_draws_candidates_once_per_band(monkeypatch):
@@ -576,6 +601,57 @@ def test_emitter_must_lie_in_the_container(emitter, rate, raises):
     else:
         solver = FlipSolver(scene, small_params(), seed=0)
         assert (solver.step().particles.count > 0) == (rate > 0)
+
+
+def test_a_small_domain_needs_no_position_for_an_absent_obstacle_or_emitter():
+    # the default obstacle (0.5, 0.35, 0.5) and emitter (0.5, 0.85, 0.5)
+    # positions lie outside a 0.5 domain; a scene that uses neither is valid
+    params = SimParams.for_domain(0.0125, 2.0, (0, 0, 0), (0.5, 0.5, 0.5))
+    scene = SceneSpec(obstacle_shape="none", emit_rate=0, pool_depth=0.5,
+                      container_dims=(0.5, 0.5, 0.5))
+    assert FlipSolver(scene, params, seed=0).step().particles.count > 0
+    with pytest.raises(ValueError, match="obstacle position"):
+        FlipSolver(SceneSpec(obstacle_shape="cube", obstacle_position=(0.2, 0.6, 0.2),
+                             container_dims=(0.5, 0.5, 0.5)), params)
+    with pytest.raises(ValueError, match="emitter position"):
+        FlipSolver(SceneSpec(emit_rate=5, container_dims=(0.5, 0.5, 0.5)), params)
+
+
+def _points_inside(solver, depth, n, seed=0):
+    """n points at most `depth` inside the solver's obstacle."""
+    rng = np.random.default_rng(seed)
+    center = np.asarray(solver.scene.obstacle_position)
+    pts = np.zeros((0, 3))
+    while len(pts) < n:
+        c = center + rng.uniform(-1.5, 1.5, size=(20000, 3)) * solver.scene.obstacle_size
+        phi = solver._obstacle_phi(c)
+        pts = np.concatenate([pts, c[(phi < 0.0) & (phi >= -depth)]])
+    return pts[:n]
+
+
+@pytest.mark.parametrize("shape", uflip.SHAPES)
+def test_push_out_leaves_no_particle_inside_thin_or_sharp_obstacles(shape):
+    # one gradient step used to leave 426 (frame), 281 (wedge), 148 (cube),
+    # 55 (cylinder) and 19 (torus) of these points inside
+    scene = SceneSpec(obstacle_shape=shape, obstacle_position=(0.5, 0.35, 0.5),
+                      obstacle_size=0.15)
+    solver = FlipSolver(scene, small_params(), seed=0)
+    pts = _points_inside(solver, solver.desc.cell_size, 5000)
+    out = solver._push_out_of_solids(pts.copy())
+    assert not (solver._obstacle_phi(out) < 0.0).any()
+    assert not solver._in_solid(out).any()
+
+
+def test_push_out_warns_with_the_count_left_inside(monkeypatch):
+    scene = SceneSpec(obstacle_shape="frame", obstacle_position=(0.5, 0.35, 0.5),
+                      obstacle_size=0.15)
+    solver = FlipSolver(scene, small_params(), seed=0)
+    pts = _points_inside(solver, solver.desc.cell_size, 5000)
+    monkeypatch.setattr(uflip, "_PUSH_RETRIES", 0)
+    with pytest.warns(RuntimeWarning, match=r"^\d+ particles remain inside the frame"):
+        out = solver._push_out_of_solids(pts.copy())
+    left = int((solver._obstacle_phi(out) < 0.0).sum())
+    assert left > 0
 
 
 def test_solid_face_masks_are_built_once_per_solver(monkeypatch):

@@ -236,6 +236,160 @@ def test_ball_gather_equals_the_loop_on_random_clouds():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def tie_scan_farthest_point_sampling(points, n):
+    """`_farthest_point_sampling` as it was before it ran over presorted
+    coordinates: each step scans for every maximum and sorts the ties."""
+    m = len(points)
+    n = min(n, m)
+    x, y, z = np.ascontiguousarray(points.T)
+    first = int(lexical_order(points)[0])
+    chosen = [first]
+    d, near, sq = np.empty(m), np.empty(m), np.empty(m)
+
+    def dist_to(i, out):
+        np.subtract(x, x[i], out=out)
+        np.multiply(out, out, out=out)
+        for c in (y, z):
+            np.subtract(c, c[i], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(out, sq, out=out)
+        np.sqrt(out, out=out)
+
+    dist_to(first, d)
+    for _ in range(1, n):
+        top = d.max()
+        cand = np.flatnonzero(d == top)
+        if len(cand) > 1:
+            cand = cand[lexical_order(points[cand])]
+        nxt = int(cand[0])
+        chosen.append(nxt)
+        dist_to(nxt, near)
+        np.minimum(d, near, out=d)
+    return np.asarray(chosen, dtype=np.int64), d
+
+
+def two_sort_ball_gather(points, queries, radius, max_neighbors):
+    """`ball_gather` as it was with two many-key lexsorts of every pair."""
+    idx = np.zeros((len(queries), max_neighbors), dtype=np.int64)
+    valid = np.zeros((len(queries), max_neighbors), dtype=bool)
+    rows, cols, d2 = unet.radius_pairs(points, queries, radius)
+    for keys in ((np.sqrt(d2),), ()):      # the K nearest, then canonical order
+        p = points[cols]
+        order = np.lexsort((cols, p[:, 2], p[:, 1], p[:, 0], *keys, rows))
+        rows, cols, d2 = rows[order], cols[order], d2[order]
+        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        keep = slot < max_neighbors
+        rows, cols, d2, slot = rows[keep], cols[keep], d2[keep], slot[keep]
+    idx[rows, slot] = cols
+    valid[rows, slot] = True
+    return idx, valid
+
+
+def padded_down_geometry(points, centers, level):
+    """`down_geometry` as it was, with distances and kernels over all K slots."""
+    idx, valid = two_sort_ball_gather(points, centers, level.radius, level.max_neighbors)
+    npos = points[idx]                                      # (n, K, 3)
+    dist = np.linalg.norm(npos - centers[:, None, :], axis=2)
+    w = unet.kernel_k(dist / level.radius) * valid
+    wsum = w.sum(axis=1)
+    has = wsum > 0.0
+    wn = np.where(has[:, None], w / np.maximum(wsum, 1e-300)[:, None], 0.0)
+    xbar = np.einsum("nk,nkc->nc", wn, npos)
+    xbar = np.where(has[:, None], xbar, centers)
+    scale = np.linalg.norm(centers - xbar, axis=1)          # per-neighborhood |x - xbar|
+    return Grouping(idx, valid, npos - centers[:, None, :], centers, xbar, scale)
+
+
+def padded_up_geometry(coarse, fine, radius, max_neighbors):
+    """`up_geometry` as it was, with distances and kernels over all K slots."""
+    idx, valid = two_sort_ball_gather(coarse, fine, radius, max_neighbors)
+    dist = np.linalg.norm(coarse[idx] - fine[:, None, :], axis=2)
+    w = unet.kernel_k(dist / radius) * valid
+    wsum = w.sum(axis=1)
+    dead = wsum <= 0.0
+    if dead.any():
+        idx[dead, 0] = nearest_indices(coarse, fine[dead])
+        w[dead] = 0.0
+        w[dead, 0] = 1.0
+        wsum = w.sum(axis=1)
+    return idx, w / wsum[:, None], lexical_order(fine)
+
+
+def _same_bytes(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want)) and len(got) == len(want)
+
+
+_geometry_case = dict(
+    pts=_lattice, dup=st.lists(st.integers(0, 39), max_size=20),
+    qs=st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=1, max_size=12),
+    half=st.booleans(), spacing=st.sampled_from([0.1, 0.3, 1.0]),
+    reach=st.sampled_from([0.5, 1.0, 2 ** 0.5, 3 ** 0.5, 2.0, 3.5]),
+    k=st.integers(1, 8), jitter=st.sampled_from([0.0, 1e-9, 0.2]),
+    data_seed=st.integers(0, 2 ** 16))
+
+
+def _geometry_inputs(pts, dup, qs, half, spacing, jitter, data_seed):
+    # lattices tie distances, `dup` repeats points, queries far outside the
+    # lattice get empty rows, a small k truncates crowded rows, and jitter
+    # splits some of the ties
+    rng = np.random.default_rng(data_seed)
+    points = np.array(pts + [pts[i % len(pts)] for i in dup], dtype=np.float64)
+    points = (points + jitter * rng.uniform(-1, 1, size=points.shape)) * spacing
+    queries = np.array(qs, dtype=np.float64) * spacing
+    if half:
+        queries = queries + 0.5 * spacing
+    return points, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_geometry_case)
+def test_ball_gather_and_fps_equal_their_two_sort_forms(pts, dup, qs, half, spacing, reach,
+                                                        k, jitter, data_seed):
+    points, queries = _geometry_inputs(pts, dup, qs, half, spacing, jitter, data_seed)
+    radius = reach * spacing
+    assert _same_bytes(ball_gather(points, queries, radius, k),
+                       two_sort_ball_gather(points, queries, radius, k))
+    for n in (1, k, len(points) // 2 + 1, len(points) + 3):
+        assert _same_bytes(_farthest_point_sampling(points, n),
+                           tie_scan_farthest_point_sampling(points, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_geometry_case)
+def test_geometry_equals_its_padded_form(pts, dup, qs, half, spacing, reach, k, jitter,
+                                         data_seed):
+    points, queries = _geometry_inputs(pts, dup, qs, half, spacing, jitter, data_seed)
+    radius = reach * spacing
+    level = LevelConfig(len(queries), radius, (4,), k)
+    got, want = unet.down_geometry(points, queries, level), padded_down_geometry(points,
+                                                                                 queries, level)
+    fields = ("idx", "valid", "offsets", "centers", "xbar", "scale")
+    assert _same_bytes([getattr(got, f) for f in fields], [getattr(want, f) for f in fields])
+    # fine points far from every coarse one fall back to the nearest
+    assert _same_bytes(up_geometry(queries, points, radius, k),
+                       padded_up_geometry(queries, points, radius, k))
+    assert _same_bytes(up_geometry(points, queries, radius, k),
+                       padded_up_geometry(points, queries, radius, k))
+
+
+def test_geometry_equals_its_padded_form_on_random_clouds():
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        points = rng.uniform(size=(int(rng.integers(1, 300)), 3))
+        queries = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 80)), 3))
+        radius, k = float(rng.uniform(0.01, 0.4)), int(rng.integers(1, 40))
+        level = LevelConfig(len(queries), radius, (4,), k)
+        got, want = unet.down_geometry(points, queries, level), \
+            padded_down_geometry(points, queries, level)
+        assert _same_bytes([got.idx, got.valid, got.offsets, got.xbar, got.scale],
+                           [want.idx, want.valid, want.offsets, want.xbar, want.scale])
+        assert _same_bytes(up_geometry(queries, points, radius, k),
+                           padded_up_geometry(queries, points, radius, k))
+        assert _same_bytes(_farthest_point_sampling(points, len(queries)),
+                           tie_scan_farthest_point_sampling(points, len(queries)))
+
+
 @pytest.mark.parametrize("spacing", [0.1, 0.37])
 def test_nearest_indices_is_the_brute_force_argmin(spacing):
     rng = np.random.default_rng(9)
