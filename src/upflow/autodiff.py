@@ -125,29 +125,18 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        out_val = self.value.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out_val = self.value.sum(axis=axis)
         src_shape = self.shape
 
         def bw(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, src_shape).astype(np.float64))
-                return
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            gg = g
-            if not keepdims:
-                for ax in sorted(a % len(src_shape) for a in axes):
-                    gg = np.expand_dims(gg, ax)
-            self._accumulate(np.broadcast_to(gg, src_shape).astype(np.float64))
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, src_shape).astype(np.float64))
         return Tensor(out_val, (self,), bw)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.value.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        return self.sum() * (1.0 / self.value.size)
 
 
 def as_tensor(x) -> Tensor:

@@ -128,12 +128,12 @@ def _grid_dims(text: str) -> tuple[int, int, int]:
     return dims
 
 
-def _epochs(text: str) -> int:
-    """argparse type of --epochs: an integer of at least 1."""
-    epochs = int(text)
-    if epochs < 1:
+def _positive_int(text: str) -> int:
+    """argparse type of --epochs and --passes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return epochs
+    return value
 
 
 def _cmd_train(args):
@@ -233,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the displacement network")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--epochs", type=_epochs, required=True)
+    p.add_argument("--epochs", type=_positive_int, required=True)
     p.add_argument("--ckpt", required=True)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("infer", help="up-res frames with a trained checkpoint")
     p.add_argument("--input", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--passes", type=int, default=3)
+    p.add_argument("--passes", type=_positive_int, default=3)
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=_time_step, required=True)
     p.set_defaults(fn=_cmd_infer)

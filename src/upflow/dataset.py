@@ -71,10 +71,6 @@ class DatasetManifest:
     sim_high: SimParams
     pairs: list[PairRecord] = field(default_factory=list)
 
-    @property
-    def num_frames(self) -> int:
-        return len(self.pairs[0].low_frames) if self.pairs else 0
-
 
 def gen_dataset(theta: ParamMatrix, sim_low: SimParams, sim_high: SimParams,
                 frames: int, name: str = "Colliding", seed: int = 0,

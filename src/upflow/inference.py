@@ -23,19 +23,22 @@ from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGri
 from .kernels import kernel_scatter
 from .net import DisplacementNet
 from .particles import ParticleSet, advect_particles, advect_positions
-from .sdf import sdf_from_particles, surface_radius
+from .sdf import sdf_from_particles
 
 _D_MAC = 2          # input velocities extend this many cells beyond the liquid
+_DEPTHS = (0.25, 0.5, 0.75)   # band-depth fractions, one per pass, repeating
 
 
 @dataclass
 class InferenceConfig:
-    """Knobs of the up-resing pass (defaults follow the desk-scale setup)."""
+    """Knobs of the up-resing pass (defaults follow the desk-scale setup).
+
+    Every pass carves its band on the input frame's SDF on the velocity
+    grid and predicts within 0.25, 0.5 or 0.75 of its width, in turn.
+    """
 
     d_b: int = 2                       # narrow-band width in cells
     passes: int = 3
-    depths: tuple[float, ...] = (0.25, 0.5, 0.75)   # band-depth fractions per pass
-    r_h: tuple[int, int, int] | None = None          # SDF upscale dims (augmentation)
     band_target_per_cell: int = 16
     seed: int = 0
 
@@ -47,25 +50,20 @@ class InferenceConfig:
         if self.band_target_per_cell < 1:
             raise ValueError("band_target_per_cell must be >= 1, got "
                              f"{self.band_target_per_cell}")
-        if not self.depths or any(not 0.0 < d <= 1.0 for d in self.depths):
-            raise ValueError("depths must be non-empty fractions in (0, 1]")
 
 
-def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc,
-                     radius: float | None = None):
+def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc):
     """Kernel-weighted scatter of per-particle displacements to cell centers.
 
-    Each particle reaches `radius` (default 1.5 cells). Returns
-    (DeformationField, covered_mask); cells no particle reaches hold zero
-    and are flagged uncovered. Raises ValueError for a non-positive radius.
+    Each particle reaches 1.5 cells. Returns (DeformationField,
+    covered_mask); cells no particle reaches hold zero and are flagged
+    uncovered.
     """
     omega = np.asarray(omega, dtype=np.float64).reshape(-1, 3)
     if len(omega) != x.count:
         raise ValueError("one displacement per particle is required")
     h = desc.cell_size
-    if radius is None:
-        radius = 1.5 * h
-    wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, radius)
+    wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, 1.5 * h)
     covered = wsum > 0.0
     vectors = np.where(covered[..., None], acc / np.maximum(wsum, 1e-300)[..., None], 0.0)
     return DeformationField(desc, vectors), covered
@@ -129,34 +127,26 @@ def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid, dt:
 def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
                      cfg: InferenceConfig, dt: float, n_passes: int):
     """The per-pass displacement fields, the upsampled positions (those of
-    ``resample_narrow_band(x, band_phi, d_b, ..., frame=0)``) and the SDF.
+    ``resample_narrow_band(x, phi, d_b, ..., frame=0)``) and the SDF ``phi``
+    of `x` on the velocity grid, which carves every band.
 
     Pass p reseeds the narrow band with jitter keyed on p and predicts on the
-    particles within depth ``depths[p % len(depths)] * d_b * cell``. With
-    ``r_h`` set, the surface band is carved on an SDF built at that finer
-    resolution instead of the velocity grid's, with the velocity grid's
-    sphere radius.
+    particles within depth ``_DEPTHS[p % 3] * d_b * cell``.
     """
     desc = u_mac.desc
     phi = sdf_from_particles(x, desc)
-    if cfg.r_h is not None:
-        cell_f = float(np.max(desc.extent / np.asarray(cfg.r_h, dtype=np.float64)))
-        desc_f = GridDesc(desc.origin, cell_f, tuple(cfg.r_h))
-        band_phi = sdf_from_particles(x, desc_f, surface_radius(desc))
-    else:
-        band_phi = phi
     # the output band: the advection re-samples every velocity, so only its
     # positions are kept
-    upsampled = resample_narrow_band(x, band_phi, cfg.d_b, cfg.band_target_per_cell,
+    upsampled = resample_narrow_band(x, phi, cfg.d_b, cfg.band_target_per_cell,
                                      cfg.seed, 0).positions
-    band_width = cfg.d_b * band_phi.desc.cell_size
+    band_width = cfg.d_b * desc.cell_size
     fields = []
     for p in range(n_passes):
-        xs = resample_narrow_band(x, band_phi, cfg.d_b,
+        xs = resample_narrow_band(x, phi, cfg.d_b,
                                   target_per_cell=cfg.band_target_per_cell,
                                   seed=cfg.seed, frame=p + 1)
-        depth = cfg.depths[p % len(cfg.depths)] * band_width
-        mask = band_particles(xs, band_phi, depth)
+        depth = _DEPTHS[p % len(_DEPTHS)] * band_width
+        mask = band_particles(xs, phi, depth)
         subset = ParticleSet(xs.positions[mask], xs.velocities[mask])
         fields.append(_pass_field(subset, model, u_mac, dt))
     return fields, upsampled, phi

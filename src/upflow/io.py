@@ -255,20 +255,14 @@ def write_manifest(manifest: DatasetManifest, out_dir: str) -> str:
         entries["source_pair_ids"] = ",".join(str(s) for s in pair.source_pair_ids)
         names: dict[str, list[str]] = {"low_frames": [], "high_frames": [],
                                        "low_velocity": [], "high_velocity": []}
-        for t, frame in enumerate(pair.low_frames):
-            rel = f"{pdir}/low_{t:03d}.upf"
-            save_particles(os.path.join(out_dir, rel), frame.particles)
-            names["low_frames"].append(rel)
-            rel = f"{pdir}/vel_low_{t:03d}.ugr"
-            save_grid(os.path.join(out_dir, rel), frame.velocity)
-            names["low_velocity"].append(rel)
-        for t, frame in enumerate(pair.high_frames):
-            rel = f"{pdir}/high_{t:03d}.upf"
-            save_particles(os.path.join(out_dir, rel), frame.particles)
-            names["high_frames"].append(rel)
-            rel = f"{pdir}/vel_high_{t:03d}.ugr"
-            save_grid(os.path.join(out_dir, rel), frame.velocity)
-            names["high_velocity"].append(rel)
+        for track, frames in (("low", pair.low_frames), ("high", pair.high_frames)):
+            for t, frame in enumerate(frames):
+                rel = f"{pdir}/{track}_{t:03d}.upf"
+                save_particles(os.path.join(out_dir, rel), frame.particles)
+                names[f"{track}_frames"].append(rel)
+                rel = f"{pdir}/vel_{track}_{t:03d}.ugr"
+                save_grid(os.path.join(out_dir, rel), frame.velocity)
+                names[f"{track}_velocity"].append(rel)
         for k, v in names.items():
             entries[k] = ",".join(v)
         cfg[f"pair.{i}"] = entries

@@ -3,13 +3,15 @@
 Predicted and reference clouds rarely share particle counts, so each
 reference particle is matched to its nearest predicted particle before the
 displacement vectors are compared. An empty reference or predicted set
-raises ValueError: a mean over no particle has no value.
+raises ValueError: a mean over no particle has no value. Reference positions
+and displacements of different lengths raise LengthMismatch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import LengthMismatch
 from .particles import nearest_points
 
 
@@ -23,31 +25,23 @@ def match_nearest(pred_positions: np.ndarray, ref_positions: np.ndarray) -> np.n
     return nearest_points(pred_positions, ref_positions)
 
 
-def _reference(ref_displacements) -> np.ndarray:
-    """The reference displacements as (n, 3); a mean over no reference
-    particle has no value, so an empty set raises."""
+def _reference(ref_positions, ref_displacements) -> np.ndarray:
+    """The reference displacements as (n, 3), one per reference position; a
+    mean over no reference particle has no value, so an empty set raises."""
     ref = np.asarray(ref_displacements, dtype=np.float64).reshape(-1, 3)
     if len(ref) == 0:
         raise ValueError("cannot score against an empty reference set")
+    if len(ref) != len(np.asarray(ref_positions).reshape(-1, 3)):
+        raise LengthMismatch("reference positions and displacements differ in length")
     return ref
 
 
-def epe(pred_positions, pred_displacements, ref_positions, ref_displacements,
-        exclude_static: bool = False) -> float:
-    """Mean L2 distance between matched displacement vectors.
-
-    With `exclude_static`, reference particles whose own displacement
-    magnitude is at most 1e-8 are left out of the mean.
-    """
+def epe(pred_positions, pred_displacements, ref_positions, ref_displacements) -> float:
+    """Mean L2 distance between matched displacement vectors."""
     pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = _reference(ref_displacements)
-    keep = np.ones(len(ref_displacements), dtype=bool)
-    if exclude_static:
-        keep = np.linalg.norm(ref_displacements, axis=1) > 1e-8
-        if not keep.any():
-            return 0.0
-    m = match_nearest(pred_positions, np.asarray(ref_positions).reshape(-1, 3)[keep])
-    err = np.linalg.norm(pred_displacements[m] - ref_displacements[keep], axis=1)
+    ref_displacements = _reference(ref_positions, ref_displacements)
+    m = match_nearest(pred_positions, ref_positions)
+    err = np.linalg.norm(pred_displacements[m] - ref_displacements, axis=1)
     return float(err.mean())
 
 
@@ -56,7 +50,7 @@ def flow_accuracy(pred_positions, pred_displacements, ref_positions,
                   eps: float = 0.001) -> float:
     """Fraction of matched displacements with error within threshold + eps."""
     pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = _reference(ref_displacements)
+    ref_displacements = _reference(ref_positions, ref_displacements)
     m = match_nearest(pred_positions, ref_positions)
     err = np.linalg.norm(pred_displacements[m] - ref_displacements, axis=1)
     return float(np.mean(err <= threshold + eps))

@@ -27,6 +27,7 @@ from .kernels import kernel_k
 from .particles import ParticleSet, nearest_points, radius_pairs
 
 _BN_EPS = 1e-5
+_LR_DECAY = 0.1     # the learning rate anneals to this fraction of its start
 _PRE_BN_BIAS = re.compile(r".+\.l\d+\.b")   # MLP biases of older checkpoints
 
 
@@ -899,11 +900,10 @@ def evaluate_loss(model: DisplacementNet, samples: list[TrainingSample], plans) 
 
 
 def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
-          val: list[TrainingSample] | None = None, lr: float = 1e-3,
-          lr_decay: float = 0.1):
+          val: list[TrainingSample] | None = None, lr: float = 1e-3):
     """Adam training loop; deterministic for a fixed config seed.
 
-    The learning rate anneals on a cosine from `lr` to `lr * lr_decay`.
+    The learning rate anneals on a cosine from `lr` to a tenth of it.
     Returns (model, history) with per-epoch mean train loss and, when a
     validation list is given, per-epoch validation loss. The geometry of
     every sample is built once, before the first epoch. Raises ValueError
@@ -924,7 +924,7 @@ def train(dataset: list[TrainingSample], config: NetworkConfig, epochs: int,
     for epoch in range(epochs):
         if epochs > 1:
             frac = epoch / (epochs - 1)
-            opt.lr = lr * (lr_decay + (1 - lr_decay)
+            opt.lr = lr * (_LR_DECAY + (1 - _LR_DECAY)
                            * 0.5 * (1 + np.cos(np.pi * frac)))
         order = rng.permutation(len(dataset))
         losses = []

@@ -323,8 +323,7 @@ def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
 
     A is symmetric positive definite for beta_t > 0. Unknowns are ordered
     cell-major (time, x, y, z) with the 3 vector components interleaved.
-    Returns (A: csr_matrix, b: ndarray, delta_sq: float) where delta_sq is
-    the residual energy of the zero field (used by energy diagnostics).
+    Returns (A: csr_matrix, b: ndarray).
 
     Which entries A stores depends on the stack's shape and on whether
     beta_s > 0 alone, never on the SDF values (a zero gradient product is
@@ -369,7 +368,7 @@ def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
 
     a_mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     b = (grad * delta[:, None]).reshape(-1)
-    return a_mat, b, float(delta @ delta)
+    return a_mat, b
 
 
 def solve_flow(a_mat: sp.csr_matrix, b: np.ndarray, params: FlowParams):
@@ -396,13 +395,6 @@ def solution_fields(u_flat: np.ndarray, st_like: SpaceTimeSDF) -> list[Deformati
     t_frames = st_like.num_frames
     u = u_flat.reshape((t_frames,) + desc.dims + (3,))
     return [DeformationField(desc, u[t]) for t in range(t_frames)]
-
-
-def quadratic_energy(a_mat: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
-                     zero_energy: float) -> float:
-    """Discrete flow energy E(u); E(0) equals `zero_energy` (the squared
-    surface difference)."""
-    return float(u @ (a_mat @ u) - 2.0 * (b @ u) + zero_energy)
 
 
 def apply_deformation(phi: ScalarGrid, u: DeformationField, alpha: float) -> ScalarGrid:
@@ -439,7 +431,7 @@ def stack_flow(src: SpaceTimeSDF, dst: SpaceTimeSDF, params: FlowParams,
     `info.require_converged`.
     """
     penalty = alignment_penalty(src, dst, params) if align else None
-    a_mat, b, _ = build_system(dst, src, penalty, params)
+    a_mat, b = build_system(dst, src, penalty, params)
     u, info = solve_flow(a_mat, b, params)
     return solution_fields(u, src), info
 

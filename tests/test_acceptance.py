@@ -52,7 +52,7 @@ def test_criterion_01_flow_solver_translation_oracle():
     dst = _sphere_sdf(desc, np.array([0.45, 0.5, 0.5]) + t, 0.22)
     params = FlowParams(beta_s=3.0, beta_t=1e-3)
     start = time.perf_counter()
-    a_mat, b, _ = build_system(SpaceTimeSDF([dst]), SpaceTimeSDF([src]), None, params)
+    a_mat, b = build_system(SpaceTimeSDF([dst]), SpaceTimeSDF([src]), None, params)
     u, info = solve_flow(a_mat, b, params)
     elapsed = time.perf_counter() - start
     field = solution_fields(u, SpaceTimeSDF([src]))[0]
@@ -78,7 +78,7 @@ def test_criterion_02_spd_and_residual():
         d = np.abs(rng.normal(size=(1,) + desc.dims)) if trial else None
         pen = AlignmentPenalty(d) if d is not None else None
         params = FlowParams(beta_s=0.6, beta_t=1e-3, cg_tol=1e-8)
-        a_mat, b, _ = build_system(SpaceTimeSDF([hi]), SpaceTimeSDF([lo]), pen, params)
+        a_mat, b = build_system(SpaceTimeSDF([hi]), SpaceTimeSDF([lo]), pen, params)
         asym = (a_mat - a_mat.T).tocoo()
         ok_sym &= asym.nnz == 0 or np.abs(asym.data).max() == 0.0
         n = a_mat.shape[0]
@@ -117,7 +117,7 @@ def test_criterion_03_alignment_benefit():
 
     def mismatch(aligned: bool) -> float:
         pen = alignment_penalty(st_src, st_dst, params) if aligned else None
-        a_mat, b, _ = build_system(st_dst, st_src, pen, params)
+        a_mat, b = build_system(st_dst, st_src, pen, params)
         u, info = solve_flow(a_mat, b, params)
         assert info.converged
         warped = apply_deformation(src, solution_fields(u, st_src)[0], 1.0)
@@ -502,7 +502,7 @@ def test_criterion_10_multipass_trend():
     dev = np.array(curve["deviation"])
     norm = np.array(curve["avg_norm"])
     noise_ok = bool(np.all(np.diff(dev[:6]) <= 1e-15))
-    # the depth schedule repeats every len(depths)=3 passes, so the dilution
+    # the depth schedule (`inference._DEPTHS`) repeats every 3 passes, so the dilution
     # of the averaged field is measured at whole sweep counts 6 -> 9 -> 12
     cycle = norm[[5, 8, 11]]
     dilution_ok = bool(np.all(np.diff(cycle) <= 1e-15))

@@ -3,7 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from test_net import _ref_div, _ref_gather, _ref_masked_max, _ref_relu, _ref_sqrt
+from test_net import (_ref_div, _ref_gather, _ref_masked_max, _ref_mean, _ref_relu,
+                      _ref_sqrt, _ref_sum)
 from upflow import ParticleSet, TrainingSample
 from upflow.autodiff import Tensor, as_tensor, custom, parameter
 from upflow.net import DisplacementNet, LevelConfig, NetworkConfig, loss_gradients
@@ -38,9 +39,10 @@ def test_add_mul_broadcast():
     fd_check(lambda: ((p * c + 2.0) * p).sum(), p)
 
 
-# Division, square root, ReLU, gather and masked max are `_ref_*` nodes of
-# `tests/test_net.py`, the tape-built reference the fused network layers are
-# checked against; the library itself has no such nodes.
+# Division, square root, ReLU, gather, masked max, sums over several axes
+# and means along one axis are `_ref_*` nodes of `tests/test_net.py`, the
+# tape-built reference the fused network layers are checked against; the
+# library itself has no such nodes.
 
 def test_div_and_sqrt():
     rng = np.random.default_rng(1)
@@ -71,13 +73,13 @@ def test_gather_fd():
 def test_sum_axes_keepdims():
     rng = np.random.default_rng(5)
     p = parameter(rng.normal(size=(3, 4, 2)))
-    fd_check(lambda: (p.sum(axis=(0, 1), keepdims=True) * p).sum(), p)
+    fd_check(lambda: (_ref_sum(p, (0, 1), keepdims=True) * p).sum(), p)
 
 
 def test_mean():
     rng = np.random.default_rng(6)
     p = parameter(rng.normal(size=(7, 3)))
-    fd_check(lambda: (p.mean(axis=0) * p.mean(axis=0)).sum(), p)
+    fd_check(lambda: (_ref_mean(p, 0) * _ref_mean(p, 0)).sum(), p)
 
 
 def test_masked_max_routes_to_argmax():
@@ -153,19 +155,22 @@ def test_backward_requires_scalar():
 
 def test_every_tape_op_runs_in_the_network(monkeypatch):
     # one loss gradient and one prediction on criterion 06's layout reach
-    # every function of Tensor: an operation that only tests use belongs
-    # in the tests, as the reference nodes above do
-    reached = set()
+    # every function of Tensor and pass every parameter it has: an operation
+    # or a parameter that only tests use belongs in the tests, as the
+    # reference nodes above do
+    wrapped = {name: fn for name, fn in vars(Tensor).items()
+               if inspect.isfunction(fn) and name != "__init__"}
+    passed = {name: set() for name in wrapped}
 
     def traced(name, fn):
+        signature = inspect.signature(fn)
+
         def run(*args, **kwargs):
-            reached.add(name)
+            passed[name] |= set(signature.bind(*args, **kwargs).arguments)
             return fn(*args, **kwargs)
         return run
-    wrapped = {name for name, fn in vars(Tensor).items()
-               if inspect.isfunction(fn) and name != "__init__"}
-    for name in wrapped:
-        monkeypatch.setattr(Tensor, name, traced(name, vars(Tensor)[name]))
+    for name, fn in wrapped.items():
+        monkeypatch.setattr(Tensor, name, traced(name, fn))
     cfg = NetworkConfig(
         levels=(LevelConfig(8, 0.25, (6,)), LevelConfig(4, 0.5, (8,)),
                 LevelConfig(2, 0.9, (10,))),
@@ -179,7 +184,8 @@ def test_every_tape_op_runs_in_the_network(monkeypatch):
     loss_gradients(model, TrainingSample(x_l, x_h, np.full((30, 3), 0.02),
                                          np.full(30, 0.5)))
     model.predict(x_l, x_h)
-    assert reached == wrapped
+    assert passed == {name: set(inspect.signature(fn).parameters)
+                      for name, fn in wrapped.items()}
 
 
 def test_values_are_float64():

@@ -249,6 +249,23 @@ def test_infer_requires_a_positive_time_step(tmp_path, capsys, dt):
     assert not (tmp_path / "out").exists()
 
 
+def test_infer_rejects_fewer_than_one_pass(workspace, tmp_path, capsys):
+    # a valid input and checkpoint: the bad value alone must stop the verb,
+    # before it loads the checkpoint or creates --out
+    _, ds, _ = workspace
+    infer_in = _copy_frames(ds / "pair_000", tmp_path / "in", "low_*.upf", "vel_low_*.ugr")
+    ckpt = tmp_path / "model.ffn"
+    DisplacementNet.create(NetworkConfig(
+        levels=(LevelConfig(2, 0.1, (2,)),), embedding_widths=(2,),
+        smoothing_convs=0, upconv_widths=((2,),))).save(str(ckpt))
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--input", str(infer_in), "--ckpt", str(ckpt), "--passes", "0",
+              "--out", str(tmp_path / "out"), "--dt", SIM_DT])
+    assert exc.value.code == 2
+    assert "--passes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_reports_frame_count_mismatch(pair_frames, tmp_path, capsys):
     low_frames, high_frames = pair_frames
     ref = _copy_frames(high_frames, tmp_path / "ref", "high_000.upf")

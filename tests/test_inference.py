@@ -43,8 +43,7 @@ def test_transfer_uniform_displacement(desc):
 
 def test_transfer_single_particle_support(desc):
     p = ParticleSet(np.array([[0.55, 0.55, 0.55]]), np.zeros((1, 3)))
-    field, covered = transfer_to_grid(p, np.array([[1.0, 0, 0]]), desc,
-                                      radius=1.5 * desc.cell_size)
+    field, covered = transfer_to_grid(p, np.array([[1.0, 0, 0]]), desc)
     centers = desc.cell_centers()
     d = np.linalg.norm(centers - np.array([0.55] * 3), axis=-1)
     assert np.array_equal(covered, d < 1.5 * desc.cell_size)
@@ -64,15 +63,6 @@ def test_transfer_symmetric_pair_cancels(desc):
 
 
 # -- MAC resampling --------------------------------------------------------------
-
-@pytest.mark.parametrize("radius", [0.0, -0.1])
-def test_transfer_rejects_non_positive_radius(desc, radius):
-    # a zero radius used to return an all-uncovered field with a NaN warning,
-    # a negative one marked the particle's cell as covered
-    p = ParticleSet(np.array([[0.55, 0.55, 0.55]]), np.zeros((1, 3)))
-    with pytest.raises(ValueError, match="positive"):
-        transfer_to_grid(p, np.array([[1.0, 0.0, 0.0]]), desc, radius=radius)
-
 
 def test_resample_constant_field(desc):
     t = np.array([0.2, 0.4, -0.6])
@@ -205,20 +195,3 @@ def test_noise_curve_shapes(desc):
     assert len(curve["deviation"]) == 8
     assert len(curve["avg_norm"]) == 8
     assert curve["deviation"][-1] == 0.0
-
-
-def test_infer_with_upscaled_band_sdf(desc):
-    x = blob((0.5, 0.5, 0.5), 300, 6)
-    model = tiny_model(zero=True)
-    cfg = InferenceConfig(passes=2, band_target_per_cell=4, r_h=(20, 20, 20))
-    out = infer_frame(x, MACGrid.zeros(desc), model, cfg, dt=0.05)
-    assert out.count > 0
-    # the finer band SDF confines particles to a thinner shell than the
-    # coarse-grid band would
-    from upflow import sample_trilinear, sdf_from_particles
-    from upflow.grids import GridDesc as GD
-    cell_f = 1.0 / 20
-    fine = sdf_from_particles(x, GD(desc.origin, cell_f, (20, 20, 20)),
-                              0.75 * desc.cell_size)
-    vals = sample_trilinear(fine, out.positions)
-    assert np.all(vals >= -2 * cell_f - 1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upflow import epe, flow_accuracy, match_nearest
+from upflow import LengthMismatch, epe, flow_accuracy, match_nearest
 
 
 def brute_force_epe(pred_pos, pred_disp, ref_pos, ref_disp):
@@ -46,7 +46,6 @@ def test_epe_static_exclusion():
     rp = pp.copy()
     rd = np.array([[0.0, 0, 0], [0.5, 0, 0]])  # first reference is static
     assert epe(pp, pd, rp, rd) == pytest.approx(0.25)
-    assert epe(pp, pd, rp, rd, exclude_static=True) == pytest.approx(0.0)
 
 
 def test_accuracy_perfect_and_hopeless():
@@ -104,5 +103,12 @@ def test_empty_reference_raises():
     for metric in (epe, flow_accuracy):
         with pytest.raises(ValueError, match="empty reference"):
             metric(pp, pd, empty, empty)
-    with pytest.raises(ValueError, match="empty reference"):
-        epe(pp, pd, empty, empty, exclude_static=True)
+
+
+@pytest.mark.parametrize("metric", [epe, flow_accuracy])
+def test_reference_positions_and_displacements_must_pair_up(metric):
+    # one reference position against four displacements used to broadcast
+    # into a score
+    pp, pd, _, _ = random_instance(42, n_pred=5)
+    with pytest.raises(LengthMismatch):
+        metric(pp, pd, pp[:1], np.ones((4, 3)))

@@ -11,8 +11,8 @@ from upflow import (CenterMismatch, LengthMismatch, NonFiniteLoss, ParticleSet,
 from upflow import io as uio
 from upflow.autodiff import Tensor, _unbroadcast, as_tensor, custom, parameter
 from upflow import net as unet
-from upflow.net import (_BN_EPS, AdamState, DisplacementNet, FeatureSet, Grouping,
-                        LevelConfig, NetworkConfig, _farthest_point_sampling,
+from upflow.net import (_BN_EPS, _LR_DECAY, AdamState, DisplacementNet, FeatureSet,
+                        Grouping, LevelConfig, NetworkConfig, _farthest_point_sampling,
                         _init_mlp, _layers, _mlp_backward, _mlp_forward,
                         _scatter_rows, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
@@ -730,8 +730,8 @@ def test_train_equals_a_loop_that_rebuilds_geometry_every_step():
     samples = [_sample(14, seed=s) for s in (31, 32, 33)]
     val = [_sample(12, seed=34)]
     cfg = tiny_config(seed=6)
-    epochs, lr, lr_decay = 4, 5e-3, 0.1
-    model, history = train(samples, cfg, epochs, val=val, lr=lr, lr_decay=lr_decay)
+    epochs, lr = 4, 5e-3
+    model, history = train(samples, cfg, epochs, val=val, lr=lr)
 
     ref = DisplacementNet.create(cfg)
     opt = AdamState(ref, lr=lr)
@@ -739,7 +739,7 @@ def test_train_equals_a_loop_that_rebuilds_geometry_every_step():
     want = {"train": [], "val": []}
     for epoch in range(epochs):
         frac = epoch / (epochs - 1)
-        opt.lr = lr * (lr_decay + (1 - lr_decay) * 0.5 * (1 + np.cos(np.pi * frac)))
+        opt.lr = lr * (_LR_DECAY + (1 - _LR_DECAY) * 0.5 * (1 + np.cos(np.pi * frac)))
         losses = []
         for si in rng.permutation(len(samples)):
             loss, grads = loss_gradients(ref, samples[si])
@@ -996,6 +996,19 @@ def _ref_gather(x, index):
     return Tensor(x.value[index], (x,), bw)
 
 
+def _ref_sum(x, axes, keepdims=False):
+    """Sum over the tuple `axes`; backward broadcasts the gradient back."""
+    def bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        x._accumulate(np.broadcast_to(g, x.shape).astype(np.float64))
+    return Tensor(x.value.sum(axis=axes, keepdims=keepdims), (x,), bw)
+
+
+def _ref_mean(x, axis):
+    return _ref_sum(x, (axis,)) * (1.0 / x.shape[axis])
+
+
 def _ref_relu(x):
     mask = x.value > 0.0
 
@@ -1051,14 +1064,14 @@ def _ref_batchnorm(x, gamma, beta, valid=None, stat_order=None):
             mean = as_tensor(np.zeros(x.shape[-1]))
             var = as_tensor(np.ones(x.shape[-1]))
         else:
-            mean = (x * mask).sum(axis=(0, 1)) * (1.0 / count)
+            mean = _ref_sum(x * mask, (0, 1)) * (1.0 / count)
             cen = x - mean
-            var = (cen * cen * mask).sum(axis=(0, 1)) * (1.0 / count)
+            var = _ref_sum(cen * cen * mask, (0, 1)) * (1.0 / count)
     else:
         xs = _ref_gather(x, stat_order)
-        mean = xs.mean(axis=0)
+        mean = _ref_mean(xs, 0)
         cen = xs - mean
-        var = (cen * cen).mean(axis=0)
+        var = _ref_mean(cen * cen, 0)
     return _ref_div(x - mean, _ref_sqrt(var + _BN_EPS)) * gamma + beta
 
 
