@@ -178,27 +178,18 @@ def _in_section(path: str, section: str, make, *args, **kwargs):
 # -- SimParams / SceneSpec sections ----------------------------------------------
 
 def _sim_to_section(cfg, section: str, params: SimParams):
-    cfg[section] = {
-        "ps": _fmt(params.particle_separation),
-        "gs": _fmt(params.grid_scale),
-        "origin": _fmt(params.domain.origin),
-        "cell_size": _fmt(params.domain.cell_size),
-        "dims": _fmt(params.domain.dims),
-        "gravity": _fmt(params.gravity),
-        "flip_ratio": _fmt(params.flip_ratio),
-        "dt": _fmt(params.dt),
-        "cfl": _fmt(params.cfl),
-        "particles_per_cell": str(params.particles_per_cell),
-        "pressure_tol": _fmt(params.pressure_tol),
-        "pressure_max_iter": str(params.pressure_max_iter),
-        "max_particles": str(params.max_particles),
-    }
+    cfg[section] = {"ps": _fmt(params.particle_separation),
+                    "gs": _fmt(params.grid_scale),
+                    "origin": _fmt(params.domain.origin),
+                    "cell_size": _fmt(params.domain.cell_size),
+                    "dims": _fmt(params.domain.dims),
+                    **{k: _fmt(getattr(params, k)) for k in _SIM_FIELDS}}
 
 
-# SimParams fields after the domain: a manifest stores all of them, a
-# dataset config's track sections may set four
-_SIM_FIELDS = {"gravity": _floats, "flip_ratio": float, "dt": float,
-               "particles_per_cell": int, "cfl": float, "pressure_tol": float,
+# SimParams fields after the domain, in manifest key order: a manifest
+# stores all of them, a dataset config's track sections may set four
+_SIM_FIELDS = {"gravity": _floats, "flip_ratio": float, "dt": float, "cfl": float,
+               "particles_per_cell": int, "pressure_tol": float,
                "pressure_max_iter": int, "max_particles": int}
 _CONFIG_SIM_FIELDS = {k: _SIM_FIELDS[k] for k in
                       ("gravity", "flip_ratio", "dt", "particles_per_cell")}

@@ -3,8 +3,8 @@
 Predicted and reference clouds rarely share particle counts, so each
 reference particle is matched to its nearest predicted particle before the
 displacement vectors are compared. An empty reference or predicted set
-raises ValueError: a mean over no particle has no value. Reference positions
-and displacements of different lengths raise LengthMismatch.
+raises ValueError: a mean over no particle has no value. Positions and
+displacements of different lengths, on either side, raise LengthMismatch.
 """
 
 from __future__ import annotations
@@ -25,32 +25,38 @@ def match_nearest(pred_positions: np.ndarray, ref_positions: np.ndarray) -> np.n
     return nearest_points(pred_positions, ref_positions)
 
 
-def _reference(ref_positions, ref_displacements) -> np.ndarray:
-    """The reference displacements as (n, 3), one per reference position; a
-    mean over no reference particle has no value, so an empty set raises."""
-    ref = np.asarray(ref_displacements, dtype=np.float64).reshape(-1, 3)
+def _paired(positions, displacements, side: str) -> np.ndarray:
+    """The displacements as (n, 3), one per position; raises LengthMismatch
+    when the two differ in length."""
+    disp = np.asarray(displacements, dtype=np.float64).reshape(-1, 3)
+    if len(disp) != len(np.asarray(positions).reshape(-1, 3)):
+        raise LengthMismatch(f"{side} positions and displacements differ in length")
+    return disp
+
+
+def _matched_errors(pred_positions, pred_displacements, ref_positions,
+                    ref_displacements) -> np.ndarray:
+    """L2 error of each reference displacement against the displacement of
+    its nearest predicted particle. A mean over no reference particle has no
+    value, so an empty reference set raises ValueError."""
+    ref = _paired(ref_positions, ref_displacements, "reference")
     if len(ref) == 0:
         raise ValueError("cannot score against an empty reference set")
-    if len(ref) != len(np.asarray(ref_positions).reshape(-1, 3)):
-        raise LengthMismatch("reference positions and displacements differ in length")
-    return ref
+    pred = _paired(pred_positions, pred_displacements, "predicted")
+    m = match_nearest(pred_positions, ref_positions)
+    return np.linalg.norm(pred[m] - ref, axis=1)
 
 
 def epe(pred_positions, pred_displacements, ref_positions, ref_displacements) -> float:
     """Mean L2 distance between matched displacement vectors."""
-    pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = _reference(ref_positions, ref_displacements)
-    m = match_nearest(pred_positions, ref_positions)
-    err = np.linalg.norm(pred_displacements[m] - ref_displacements, axis=1)
-    return float(err.mean())
+    return float(_matched_errors(pred_positions, pred_displacements, ref_positions,
+                                 ref_displacements).mean())
 
 
 def flow_accuracy(pred_positions, pred_displacements, ref_positions,
                   ref_displacements, threshold: float = 0.1,
                   eps: float = 0.001) -> float:
     """Fraction of matched displacements with error within threshold + eps."""
-    pred_displacements = np.asarray(pred_displacements, dtype=np.float64).reshape(-1, 3)
-    ref_displacements = _reference(ref_positions, ref_displacements)
-    m = match_nearest(pred_positions, ref_positions)
-    err = np.linalg.norm(pred_displacements[m] - ref_displacements, axis=1)
+    err = _matched_errors(pred_positions, pred_displacements, ref_positions,
+                          ref_displacements)
     return float(np.mean(err <= threshold + eps))

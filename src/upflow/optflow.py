@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CGNotConverged, GridMismatch, NoSurface
+from .errors import CGNotConverged, GridMismatch, NoSurface, check_positive
 from .grids import DeformationField, ScalarGrid, pcg, sample_trilinear
 from .particles import ParticleSet, nearest_points
 
@@ -43,10 +43,14 @@ class FlowParams:
     cg_max_iter: int = 5000
 
     def __post_init__(self):
-        if self.beta_t <= 0.0:
-            raise ValueError("beta_t must be strictly positive")
-        if self.beta_s < 0.0:
-            raise ValueError("beta_s must be non-negative")
+        if not (np.isfinite(self.beta_s) and self.beta_s >= 0.0):
+            raise ValueError(f"beta_s must be non-negative and finite, got {self.beta_s}")
+        check_positive("beta_t", self.beta_t)
+        if not np.isfinite(self.alpha_feat):
+            raise ValueError(f"alpha_feat must be finite, got {self.alpha_feat}")
+        check_positive("cg_tol", self.cg_tol)
+        if self.cg_max_iter < 1:
+            raise ValueError(f"cg_max_iter must be >= 1, got {self.cg_max_iter}")
 
 
 @dataclass
@@ -105,66 +109,28 @@ class FlowSolveInfo:
 
 # -- complex-cell topology test -----------------------------------------------
 
-def _corner_adjacency():
-    pairs = []
-    for a in range(8):
-        for bit in (1, 2, 4):
-            b = a ^ bit
-            if a < b:
-                pairs.append((a, b))
-    return pairs
-
-_CUBE_EDGES = _corner_adjacency()
-
-# faces as corner index quadruples (u0v0, u0v1, u1v0, u1v1) per fixed axis side
-_CUBE_FACES = []
-for _axis, _bit in ((0, 4), (1, 2), (2, 1)):
-    rest = [b for b in (4, 2, 1) if b != _bit]
-    for side in (0, _bit):
-        _CUBE_FACES.append((side, side | rest[1], side | rest[0], side | rest[0] | rest[1]))
+def _connected(corners: np.ndarray) -> np.ndarray:
+    """Whether each 8-bit corner set (bit 4 dx + 2 dy + dz) is edge-connected:
+    grown from its lowest corner along z, y and x three times, it must cover
+    the whole set."""
+    reach = corners & -corners
+    for _ in range(3):
+        for shift, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
+            reach |= ((reach & mask) << shift | (reach >> shift) & mask) & corners
+    return reach == corners
 
 
-def _components(case: int, want: bool) -> int:
-    """Connected components of the corners whose inside-flag equals `want`."""
-    corners = [c for c in range(8) if bool(case >> c & 1) == want]
-    seen: set[int] = set()
-    comps = 0
-    for start in corners:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            for a, b in _CUBE_EDGES:
-                if a == c and b in corners and b not in seen:
-                    stack.append(b)
-                elif b == c and a in corners and a not in seen:
-                    stack.append(a)
-    return comps
-
-
-def _case_is_complex(case: int) -> bool:
-    if _components(case, True) > 1 or _components(case, False) > 1:
-        return True
-    for f00, f01, f10, f11 in _CUBE_FACES:
-        s = [bool(case >> c & 1) for c in (f00, f01, f10, f11)]
-        if s[0] == s[3] and s[1] == s[2] and s[0] != s[1]:
-            return True
-    return False
-
-
-_COMPLEX_TABLE = np.array([_case_is_complex(c) for c in range(256)], dtype=bool)
+# a cell is complex when its inside corners, or its outside corners, are not
+# edge-connected; an ambiguous face implies that already, so no face test
+_COMPLEX_TABLE = ~(_connected(np.arange(256)) & _connected(255 - np.arange(256)))
 
 
 def complex_cells(phi: ScalarGrid) -> np.ndarray:
     """Flag cells whose 8-corner sign pattern is too tangled for a single
-    piecewise-linear surface sheet (multiple corner components or an
-    ambiguous face). Corners are the cell-center samples of the 2x2x2 block
-    anchored at each cell; the trailing slab in each axis is never flagged.
+    piecewise-linear surface sheet: the inside or the outside corners fall
+    into more than one edge-connected component. Corners are the cell-center
+    samples of the 2x2x2 block anchored at each cell; the trailing slab in
+    each axis is never flagged.
     """
     inside = phi.values <= 0.0
     nx, ny, nz = phi.desc.dims
@@ -194,44 +160,29 @@ def _laplacian(values: np.ndarray, h: float) -> np.ndarray:
 def feature_points(st: SpaceTimeSDF, alpha_feat: float) -> np.ndarray:
     """Surface-band cells whose |curvature| sticks out of the band distribution.
 
-    Curvature is approximated by the SDF Laplacian on the |phi| <= 2h band;
-    cells above mean + alpha_feat * stddev of the band's |curvature| are
-    returned as 4D points (x, y, z, t * dt). A constant
-    distribution (stddev ~ 0) yields no feature points.
+    Curvature is approximated by the SDF Laplacian on the |phi| <= 2h band of
+    the whole stack; cells above mean + alpha_feat * stddev of the band's
+    |curvature| are returned as 4D points (x, y, z, t * dt), frame by frame
+    in cell order. A constant distribution (stddev ~ 0) yields no feature
+    points.
 
     Raises NoSurface when no frame has a zero crossing.
     """
-    desc = st.desc
-    h = desc.cell_size
-    has_surface = any((f.values <= 0.0).any() and (f.values > 0.0).any()
-                      for f in st.frames)
-    if not has_surface:
+    h = st.desc.cell_size
+    phi = st.stacked()
+    if not ((phi <= 0.0).any(axis=(1, 2, 3)) & (phi > 0.0).any(axis=(1, 2, 3))).any():
         raise NoSurface("signed distance stack has no zero crossing")
-
-    centers = desc.cell_centers()
-    band_curvs = []
-    per_frame = []
-    for t, frame in enumerate(st.frames):
-        band = np.abs(frame.values) <= 2.0 * h
-        curv = np.abs(_laplacian(frame.values, h))
-        band_curvs.append(curv[band])
-        per_frame.append((band, curv))
-    all_curv = np.concatenate(band_curvs) if band_curvs else np.zeros(0)
-    if all_curv.size == 0:
+    band = np.abs(phi) <= 2.0 * h
+    curv = np.abs(np.stack([_laplacian(v, h) for v in phi]))
+    band_curv = curv[band]
+    if band_curv.size == 0:
         return np.zeros((0, 4))
-    mu = float(all_curv.mean())
-    rho = float(all_curv.std())
+    mu = float(band_curv.mean())
+    rho = float(band_curv.std())
     if rho <= 1e-12 * max(1.0, abs(mu)):
         return np.zeros((0, 4))
-    thresh = mu + alpha_feat * rho
-    pts = []
-    for t, (band, curv) in enumerate(per_frame):
-        sel = band & (curv > thresh)
-        if sel.any():
-            xyz = centers[sel]
-            tt = np.full((len(xyz), 1), t * st.dt)
-            pts.append(np.concatenate([xyz, tt], axis=1))
-    return np.concatenate(pts) if pts else np.zeros((0, 4))
+    t, i, j, k = np.nonzero(band & (curv > mu + alpha_feat * rho))
+    return np.column_stack([st.desc.cell_centers()[i, j, k], t * st.dt])
 
 
 def alignment_penalty(lo: SpaceTimeSDF, hi: SpaceTimeSDF,
@@ -240,36 +191,24 @@ def alignment_penalty(lo: SpaceTimeSDF, hi: SpaceTimeSDF,
 
     Each complex cell of `lo` gets d = 1 / max(dist, eps) where dist is the
     4D distance sqrt(sum((f - q)**2)) from its point q = (x, y, z, t * dt)
-    to the nearest feature point f of `hi`; eps is one cell size.
-    Everything else is zero.
+    to the nearest feature point f of `hi`; eps is one cell size. One
+    nearest search serves the whole stack. Everything else is zero.
     """
     if lo.desc != hi.desc or lo.num_frames != hi.num_frames:
         raise GridMismatch("aligned stacks must share grid and frame count")
-    desc = lo.desc
-    d = np.zeros((lo.num_frames,) + desc.dims)
+    d = np.zeros((lo.num_frames,) + lo.desc.dims)
     feats = feature_points(hi, params.alpha_feat)
     if len(feats) == 0:
         return AlignmentPenalty(d)
-    centers = desc.cell_centers()
-    eps = desc.cell_size
-    for t, frame in enumerate(lo.frames):
-        cc = complex_cells(frame)
-        if not cc.any():
-            continue
-        xyz = centers[cc]
-        q = np.concatenate([xyz, np.full((len(xyz), 1), t * lo.dt)], axis=1)
-        dist = np.sqrt(np.sum((feats[nearest_points(feats, q)] - q) ** 2, axis=1))
-        d[t][cc] = 1.0 / np.maximum(dist, eps)
+    cc = np.stack([complex_cells(f) for f in lo.frames])
+    t, i, j, k = np.nonzero(cc)
+    q = np.column_stack([lo.desc.cell_centers()[i, j, k], t * lo.dt])
+    dist = np.sqrt(np.sum((feats[nearest_points(feats, q)] - q) ** 2, axis=1))
+    d[cc] = 1.0 / np.maximum(dist, lo.desc.cell_size)
     return AlignmentPenalty(d)
 
 
 # -- system assembly and solve -------------------------------------------------
-
-def _spatial_gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """Central differences (one-sided at borders), shape (nx, ny, nz, 3)."""
-    g = np.stack(np.gradient(values, h), axis=-1)
-    return g
-
 
 @lru_cache(maxsize=8)
 def _system_pattern(t_frames: int, dims: tuple, smooth: bool):
@@ -342,9 +281,10 @@ def build_system(hi: SpaceTimeSDF, lo: SpaceTimeSDF,
     indptr, indices, block, pairs, off = _system_pattern(t_frames, tuple(desc.dims),
                                                          params.beta_s > 0.0)
 
-    grad = np.concatenate([_spatial_gradient(f.values, h).reshape(-1, 3)
-                           for f in hi.frames])
-    delta = (lo.stacked() - hi.stacked()).reshape(-1)
+    # central differences (one-sided at borders) over the three spatial axes
+    phi_dst = hi.stacked()
+    grad = np.stack(np.gradient(phi_dst, h, axis=(1, 2, 3)), axis=-1).reshape(m, 3)
+    delta = (lo.stacked() - phi_dst).reshape(-1)
 
     # smoothness: graph Laplacian over the 4D lattice, one copy per component;
     # the diagonal gathers beta_t, the penalty and each axis's pair weights

@@ -110,5 +110,10 @@ def test_reference_positions_and_displacements_must_pair_up(metric):
     # one reference position against four displacements used to broadcast
     # into a score
     pp, pd, _, _ = random_instance(42, n_pred=5)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="reference"):
         metric(pp, pd, pp[:1], np.ones((4, 3)))
+    # extra predicted rows were ignored (a perfect score), too few indexed
+    # out of bounds
+    for rows in (9, 2):
+        with pytest.raises(LengthMismatch, match="predicted"):
+            metric(pp, np.zeros((rows, 3)), pp, np.zeros((5, 3)))

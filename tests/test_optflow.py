@@ -9,12 +9,17 @@ from upflow import (AlignmentPenalty, DeformationField, FlowParams, GridDesc,
                     SpaceTimeSDF, alignment_penalty, apply_deformation,
                     build_system, complex_cells, feature_points,
                     flow_interpolate, solution_fields, solve_flow)
-from upflow.optflow import _spatial_gradient
+from upflow.optflow import _laplacian
 
 
 def sphere_sdf(desc, center, radius):
     c = desc.cell_centers()
     return ScalarGrid(desc, np.linalg.norm(c - np.asarray(center), axis=-1) - radius)
+
+
+def _gradient(values, h):
+    """Central differences (one-sided at borders), shape values.shape + (3,)."""
+    return np.stack(np.gradient(values, h), axis=-1)
 
 
 def cube_sdf(desc, center, half):
@@ -140,6 +145,57 @@ def test_no_surface_raises():
         feature_points(st, alpha_feat=1.0)
 
 
+def _ref_feature_points(st, alpha_feat):
+    """Feature points frame by frame: one band, Laplacian and selection per
+    frame, thresholded by the statistics of all frames' bands together."""
+    h = st.desc.cell_size
+    bands = [np.abs(f.values) <= 2.0 * h for f in st.frames]
+    curvs = [np.abs(_laplacian(f.values, h)) for f in st.frames]
+    band_curv = np.concatenate([c[b] for c, b in zip(curvs, bands)])
+    thresh = band_curv.mean() + alpha_feat * band_curv.std()
+    pts = []
+    for t, (band, curv) in enumerate(zip(bands, curvs)):
+        sel = band & (curv > thresh)
+        pts.append(np.concatenate([st.desc.cell_centers()[sel],
+                                   np.full((sel.sum(), 1), t * st.dt)], axis=1))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("alpha_feat", [0.0, 1.0])
+def test_feature_points_over_frames_equal_a_per_frame_reference(alpha_feat):
+    desc = GridDesc((0.1, -0.2, 0.3), 0.1, (7, 6, 5))
+    rng = np.random.default_rng(11)
+    st = SpaceTimeSDF([ScalarGrid(desc, rng.normal(scale=0.1, size=desc.dims))
+                       for _ in range(3)], dt=0.25)
+    got = feature_points(st, alpha_feat)
+    want = _ref_feature_points(st, alpha_feat)
+    assert len(np.unique(want[:, 3])) == 3
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_frame_with_a_surface_is_enough():
+    desc = GridDesc((0, 0, 0), 0.05, (20, 20, 20))
+    cube = cube_sdf(desc, (0.5, 0.5, 0.5), 0.25)
+    outside, inside = ScalarGrid.full(desc, 1.0), ScalarGrid.full(desc, -1.0)
+    pts = feature_points(SpaceTimeSDF([outside, cube, inside], dt=0.5), alpha_feat=1.0)
+    assert len(pts) > 0 and np.all(pts[:, 3] == 0.5)
+    with pytest.raises(NoSurface):
+        feature_points(SpaceTimeSDF([outside, inside, outside]), alpha_feat=1.0)
+
+
+# -- parameters --------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("beta_s", -0.1), ("beta_s", float("nan")), ("beta_s", float("inf")),
+    ("beta_t", 0.0), ("beta_t", float("nan")), ("beta_t", float("inf")),
+    ("cg_tol", -1.0), ("cg_tol", float("nan")), ("cg_tol", float("inf")),
+    ("cg_max_iter", 0), ("alpha_feat", float("nan")), ("alpha_feat", float("inf")),
+])
+def test_flow_params_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlowParams(**{field: value})
+
+
 # -- alignment penalty -------------------------------------------------------------
 
 def _flat_surface_stack(desc, y0=0.5):
@@ -251,8 +307,7 @@ def test_single_cell_closed_form_when_no_smoothness():
     u, info = solve_flow(a_mat, b, params)
     assert info.converged
     # with beta_s = 0 every cell decouples: u = g * delta / (|g|^2 + beta_t)
-    from upflow.optflow import _spatial_gradient
-    g = _spatial_gradient(hi.values, desc.cell_size).reshape(-1, 3)
+    g = _gradient(hi.values, desc.cell_size).reshape(-1, 3)
     delta = (lo.values - hi.values).reshape(-1)
     expect = g * (delta / (np.sum(g * g, axis=1) + params.beta_t))[:, None]
     assert np.allclose(u.reshape(-1, 3), expect, atol=1e-8)
@@ -325,7 +380,7 @@ def coo_build_system(hi, lo, penalty, params):
     m = t_frames * desc.num_cells
     n = 3 * m
 
-    grad = np.concatenate([_spatial_gradient(f.values, h).reshape(-1, 3)
+    grad = np.concatenate([_gradient(f.values, h).reshape(-1, 3)
                            for f in hi.frames])
     delta = (lo.stacked() - hi.stacked()).reshape(-1)
 
