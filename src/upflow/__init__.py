@@ -1,41 +1,27 @@
-"""Particle-liquid up-resing toolkit.
+"""Particle-liquid up-resing toolkit."""
 
-Set UPFLOW_THREADS to cap the BLAS/OpenMP thread pools used by the numeric
-kernels. The package copies it into OMP_NUM_THREADS and friends on import,
-which takes effect only if numpy has not been imported yet: import upflow
-first (the `upflow` command does), or set those variables directly.
-"""
-
-import os as _os
-
-_threads = _os.environ.get("UPFLOW_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from .errors import (CenterMismatch, CGNotConverged, EmptyNeighborhood,  # noqa: E402
+from .errors import (CenterMismatch, CGNotConverged, EmptyNeighborhood,
                      GridMismatch, LengthMismatch, NonFiniteLoss, NoSurface,
                      SolverDiverged, UpflowError)
-from .grids import (DeformationField, GridDesc, MACGrid, ScalarGrid,  # noqa: E402
+from .grids import (DeformationField, GridDesc, MACGrid, ScalarGrid,
                     extrapolate_mac, sample_trilinear)
-from .kernels import kernel_k, neighborhood_weights  # noqa: E402
-from .particles import ParticleSet, advect_particles  # noqa: E402
-from .sdf import sdf_from_particles  # noqa: E402
-from .flip import (SceneSpec, SimFrame, SimParams, FlipSolver,  # noqa: E402
+from .kernels import kernel_k, neighborhood_weights
+from .particles import ParticleSet, advect_particles
+from .sdf import sdf_from_particles
+from .flip import (SceneSpec, SimFrame, SimParams, FlipSolver,
                    resample_narrow_band, simulate)
-from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF,  # noqa: E402
+from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF,
                       alignment_penalty, apply_deformation, build_system,
                       complex_cells, feature_points, flow_interpolate,
                       solution_fields, solve_flow, stack_flow)
-from .net import (DisplacementNet, FeatureSet, LevelConfig, NetworkConfig,  # noqa: E402
+from .net import (DisplacementNet, FeatureSet, LevelConfig, NetworkConfig,
                   TrainingSample, loss_up, loss_gradients, train)
-from .inference import (InferenceConfig, infer_frame, inject_motion,  # noqa: E402
+from .inference import (InferenceConfig, infer_frame, inject_motion,
                         pass_noise_curve, resample_of_to_mac, surface_roughness,
                         transfer_to_grid)
-from .dataset import (DatasetManifest, PairRecord, ParamMatrix, augment,  # noqa: E402
+from .dataset import (DatasetManifest, PairRecord, ParamMatrix, augment,
                       gen_dataset, make_training_samples)
-from .metrics import epe, flow_accuracy, match_nearest  # noqa: E402
+from .metrics import epe, flow_accuracy, match_nearest
 
 __version__ = "0.1.0"
 

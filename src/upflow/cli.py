@@ -144,7 +144,7 @@ def _cmd_train(args):
         raise SystemExit("manifest produced no training samples")
     if net_cfg is None:
         n = max(s.x_l.count for s in samples)
-        net_cfg = NetworkConfig.default(n, manifest.sim_low.particle_separation)
+        net_cfg = NetworkConfig.default(n, manifest.sim_low.particle_spacing)
     n_val = int(len(samples) * opts.pop("val_fraction", 0.0))
     val = samples[:n_val]
     tr = samples[n_val:]

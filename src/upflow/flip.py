@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,38 +35,53 @@ _PUSH_RETRIES = 4          # push-out steps after the first, for particles still
 
 @dataclass
 class SimParams:
-    """Resolution and integration parameters of one simulation track."""
+    """Resolution and integration parameters of one simulation track.
 
-    particle_separation: float          # ps, world units
-    grid_scale: float                   # gs, dimensionless
+    Each cell is seeded with ``particles_per_cell`` = n^3 jittered particles,
+    n per axis, as in Zhu and Bridson's FLIP. The solver controls (`cfl`,
+    `pressure_tol`, `pressure_max_iter`, `max_particles`) are class constants.
+    """
+
     domain: GridDesc
     gravity: tuple[float, float, float] = (0.0, -9.81, 0.0)
     flip_ratio: float = 0.95
     dt: float = 1.0 / 30.0
-    cfl: float = 2.0
     particles_per_cell: int = 8
-    pressure_tol: float = 1e-6          # max residual divergence after projection
-    pressure_max_iter: int = 4000
-    max_particles: int = 200_000
+
+    cfl: ClassVar[float] = 2.0
+    pressure_tol: ClassVar[float] = 1e-6        # max residual divergence after projection
+    pressure_max_iter: ClassVar[int] = 4000
+    max_particles: ClassVar[int] = 200_000
 
     def __post_init__(self):
-        for name in ("particle_separation", "dt", "cfl", "pressure_tol"):
-            check_positive(name, getattr(self, name))
-        if self.grid_scale < 1.0:
-            raise ValueError("grid_scale must be >= 1")
+        check_positive("dt", self.dt)
         if not 0.0 <= self.flip_ratio <= 1.0:
             raise ValueError(f"flip_ratio must lie in [0, 1], got {self.flip_ratio}")
-        for name in ("particles_per_cell", "pressure_max_iter", "max_particles"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        n = self.particles_per_cell
+        if n < 1 or self.seeds_per_axis ** 3 != n:
+            raise ValueError(f"particles_per_cell must be a cube n**3 >= 1, got {n}")
+
+    @property
+    def seeds_per_axis(self) -> int:
+        """Jittered seeds along each cell axis: the cube root of `particles_per_cell`."""
+        return round(self.particles_per_cell ** (1.0 / 3.0))
+
+    @property
+    def particle_spacing(self) -> float:
+        """Seeded particle spacing: the cell size over the seeds per axis."""
+        return self.domain.cell_size / self.seeds_per_axis
 
     @classmethod
     def for_domain(cls, ps: float, gs: float, origin, extent, **kw) -> "SimParams":
-        """Build params with the cell size tied to the particle spacing
-        (cell = 2 * ps * gs), rounding dims to cover `extent`."""
+        """Build params with the cell size tied to the particle separation `ps`
+        and the grid scale `gs` (cell = 2 * ps * gs), rounding dims to cover
+        `extent`. At 8 particles per cell the seeded spacing is ps * gs."""
+        check_positive("particle_separation", ps)
+        if gs < 1.0:
+            raise ValueError("grid_scale must be >= 1")
         h = 2.0 * ps * gs
         dims = tuple(max(2, int(round(e / h))) for e in extent)
-        return cls(ps, gs, GridDesc(tuple(origin), h, dims), **kw)
+        return cls(GridDesc(tuple(origin), h, dims), **kw)
 
 
 @dataclass
@@ -183,12 +199,11 @@ class FlipSolver:
 
     def _stratified_fill(self, cells: np.ndarray, tag: int) -> np.ndarray:
         """Jittered per-cell seeding of `particles_per_cell` positions."""
-        n_axis = max(1, int(round(self.params.particles_per_cell ** (1.0 / 3.0))))
-        per_cell = n_axis ** 3
+        n_axis = self.params.seeds_per_axis
         h = self.desc.cell_size
         origin = np.asarray(self.desc.origin)
         cell_ids = np.ravel_multi_index(cells.T, self.desc.dims)
-        slots = np.arange(per_cell)
+        slots = np.arange(n_axis ** 3)
         sid, cid = np.meshgrid(slots, cell_ids, indexing="ij")
         sub = np.stack([sid // (n_axis * n_axis), (sid // n_axis) % n_axis, sid % n_axis], axis=-1)
         jit = np.stack([hash_uniform(np.full(cid.shape, self.seed), cid, sid, np.full(cid.shape, tag + a))

@@ -22,7 +22,7 @@ from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGri
                     extrapolate_mac, sample_trilinear)
 from .kernels import kernel_scatter
 from .net import DisplacementNet
-from .particles import ParticleSet, advect_particles, advect_positions
+from .particles import ParticleSet, advect_particles
 from .sdf import sdf_from_particles
 
 _D_MAC = 2          # input velocities extend this many cells beyond the liquid
@@ -117,9 +117,7 @@ def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid, dt:
     desc = u_mac.desc
     if x_band.count == 0:
         return DeformationField.zeros(desc)
-    advanced_pos = advect_positions(x_band.positions, u_mac, dt)
-    advanced = ParticleSet(advanced_pos, sample_trilinear(u_mac, advanced_pos))
-    omega = model.predict(x_band, advanced)
+    omega = model.predict(x_band, advect_particles(x_band, u_mac, dt))
     field, _ = transfer_to_grid(x_band, omega, desc)
     return field
 

@@ -140,11 +140,10 @@ def load_grid(path: str):
 # -- small value formatting -----------------------------------------------------
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     if isinstance(v, (tuple, list, np.ndarray)):
-        return ",".join(_fmt(float(x)) if isinstance(x, (float, np.floating)) else _fmt(x)
-                        for x in v)
+        return ",".join(_fmt(x) for x in v)
     return str(v)
 
 
@@ -178,21 +177,17 @@ def _in_section(path: str, section: str, make, *args, **kwargs):
 # -- SimParams / SceneSpec sections ----------------------------------------------
 
 def _sim_to_section(cfg, section: str, params: SimParams):
-    cfg[section] = {"ps": _fmt(params.particle_separation),
-                    "gs": _fmt(params.grid_scale),
-                    "origin": _fmt(params.domain.origin),
+    cfg[section] = {"origin": _fmt(params.domain.origin),
                     "cell_size": _fmt(params.domain.cell_size),
                     "dims": _fmt(params.domain.dims),
                     **{k: _fmt(getattr(params, k)) for k in _SIM_FIELDS}}
 
 
 # SimParams fields after the domain, in manifest key order: a manifest
-# stores all of them, a dataset config's track sections may set four
-_SIM_FIELDS = {"gravity": _floats, "flip_ratio": float, "dt": float, "cfl": float,
-               "particles_per_cell": int, "pressure_tol": float,
-               "pressure_max_iter": int, "max_particles": int}
-_CONFIG_SIM_FIELDS = {k: _SIM_FIELDS[k] for k in
-                      ("gravity", "flip_ratio", "dt", "particles_per_cell")}
+# stores all of them, a dataset config's track sections may set any; other
+# keys (an older manifest's ps, gs and solver controls) are not read
+_SIM_FIELDS = {"gravity": _floats, "flip_ratio": float, "dt": float,
+               "particles_per_cell": int}
 # SceneSpec fields a [scenes] section may set; a manifest pair also stores
 # the placement the parameter matrix varies
 _SCENE_FIELDS = {"obstacle_size": float, "emit_rate": int, "emit_speed": float,
@@ -205,8 +200,7 @@ _PLACEMENT_FIELDS = {"obstacle_shape": str, "obstacle_position": _floats,
 
 def _sim_from_section(sec) -> SimParams:
     desc = GridDesc(_floats(sec["origin"]), float(sec["cell_size"]), _ints(sec["dims"]))
-    return SimParams(float(sec["ps"]), float(sec["gs"]), desc,
-                     **{k: conv(sec[k]) for k, conv in _SIM_FIELDS.items()})
+    return SimParams(desc, **{k: conv(sec[k]) for k, conv in _SIM_FIELDS.items()})
 
 
 def _scene_to_dict(scene: SceneSpec) -> dict[str, str]:
@@ -323,7 +317,7 @@ def parse_dataset_config(path: str):
         return _in_section(path, name, SimParams.for_domain, float(sec["ps"]),
                            float(sec["gs"]), _floats(sec.get("origin", "0,0,0")),
                            _floats(sec.get("extent", "1,1,1")),
-                           **_present(sec, _CONFIG_SIM_FIELDS))
+                           **_present(sec, _SIM_FIELDS))
 
     return (ds.get("name", "Colliding"), int(ds.get("frames", "4")),
             int(ds.get("seed", "0")), theta, defaults,

@@ -23,7 +23,9 @@ _FAR = 1e30
 def _blended_sphere_field(p: ParticleSet, desc: GridDesc, radius: float, support: float):
     """Zhu-Bridson blend on cells within the particle footprint.
 
-    Returns (phi, covered) where covered marks cells with nonzero kernel mass.
+    Returns (phi, covered) where covered marks cells with nonzero kernel mass;
+    outside the footprint the liquid cannot reach, so phi is a positive far
+    field there.
     """
     wsum, xsum = kernel_scatter(p.positions, p.positions, desc.origin, desc.cell_size,
                                 desc.dims, support)
@@ -125,9 +127,7 @@ def sdf_from_particles(p: ParticleSet, desc: GridDesc,
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     phi, covered = _blended_sphere_field(p, desc, radius, 2.0 * radius)
-    # outside the footprint the liquid cannot reach: positive far field
-    phi = np.where(covered, phi, _FAR)
-    frozen = _interface_cells(np.where(covered, phi, _FAR)) & covered
+    frozen = _interface_cells(phi) & covered
     if not frozen.any():
         # surface finer than the grid: trust every covered cell instead
         frozen = covered

@@ -2,13 +2,10 @@
 
 import os
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import upflow
 from upflow import FlowParams, LevelConfig, NetworkConfig, ParticleSet
 from upflow.cli import main
 from upflow.net import DisplacementNet
@@ -312,6 +309,28 @@ def test_train_and_infer_and_eval(workspace):
                  "--threshold", "0.1"]) == 0
 
 
+def test_train_default_network_scales_with_the_seeded_spacing(workspace, tmp_path, monkeypatch):
+    # GEN_CFG's low track has a 0.06 cell seeded 2 per axis: spacing 0.03
+    _, ds, _ = workspace
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("[train]\nlr = 0.003\n")
+    built = []
+
+    class Stop(Exception):
+        pass
+
+    def recording(samples, net_cfg, *args, **kwargs):
+        built.append(net_cfg)
+        raise Stop
+
+    monkeypatch.setattr("upflow.cli.train_net", recording)
+    with pytest.raises(Stop):
+        main(["train", "--manifest", str(ds), "--config", str(cfg),
+              "--epochs", "1", "--ckpt", str(tmp_path / "model.ffn")])
+    radii = [lv.radius for lv in built[0].levels]
+    assert radii == pytest.approx([0.06, 0.12, 0.24])
+
+
 @pytest.mark.parametrize("epochs", ["0", "-3", "two"])
 def test_train_rejects_fewer_than_one_epoch(workspace, tmp_path, capsys, epochs):
     _, ds, net_cfg = workspace
@@ -330,15 +349,3 @@ def test_export_obj_cli(workspace):
     assert main(["export-obj", "--frames", str(ds / "pair_000"), "--out",
                  str(out)]) == 0
     assert any(f.endswith(".obj") for f in os.listdir(out))
-
-
-def test_thread_cap_env(tmp_path):
-    # the child finds the package where this process found it, installed or
-    # on PYTHONPATH; its environment holds no inherited thread variables
-    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(upflow.__file__)))
-    code = "import upflow, os; print(os.environ.get('OMP_NUM_THREADS'))"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"PATH": "/usr/bin:/bin", "UPFLOW_THREADS": "2",
-                              "PYTHONPATH": pkg_parent},
-                         capture_output=True, text=True, cwd="/")
-    assert out.stdout.strip() == "2", out.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -672,10 +674,29 @@ def test_solid_face_masks_are_built_once_per_solver(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("flip_ratio", 3.0), ("flip_ratio", -0.1), ("flip_ratio", float("nan")),
-    ("particles_per_cell", 0), ("pressure_max_iter", 0), ("max_particles", 0),
-    ("cfl", 0.0), ("cfl", float("inf")), ("pressure_tol", -1e-6),
-    ("pressure_tol", float("nan")), ("dt", float("nan")),
+    ("particles_per_cell", 0), ("particles_per_cell", 10), ("particles_per_cell", 20),
+    ("dt", float("nan")),
 ])
 def test_sim_params_reject_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
         small_params(**{field: value})
+
+
+def test_sim_params_hold_what_the_solver_reads():
+    assert [f.name for f in dataclasses.fields(SimParams)] == [
+        "domain", "gravity", "flip_ratio", "dt", "particles_per_cell"]
+    assert (SimParams.cfl, SimParams.pressure_tol, SimParams.pressure_max_iter,
+            SimParams.max_particles) == (2.0, 1e-6, 4000, 200_000)
+
+
+@pytest.mark.parametrize("per_cell, per_axis", [(1, 1), (8, 2), (27, 3)])
+def test_seeding_fills_each_pool_cell_with_particles_per_cell(per_cell, per_axis):
+    params = small_params(particles_per_cell=per_cell)
+    assert params.seeds_per_axis == per_axis
+    assert params.particle_spacing == pytest.approx(params.domain.cell_size / per_axis)
+    solver = FlipSolver(still_pool_scene(), params, seed=0)
+    desc = params.domain
+    cells = np.floor((solver.particles.positions - np.asarray(desc.origin))
+                     / desc.cell_size).astype(int)
+    _, counts = np.unique(cells, axis=0, return_counts=True)
+    assert set(counts.tolist()) == {per_cell}

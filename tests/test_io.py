@@ -177,6 +177,62 @@ def test_manifest_roundtrip_bit_exact(tmp_path):
             assert (d2 / rel).read_bytes() == (d1 / rel).read_bytes(), rel
 
 
+def test_manifest_sim_sections_hold_seven_keys(tmp_path):
+    path = uio.write_manifest(_small_manifest(), str(tmp_path / "ds"))
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    for track in ("sim.low", "sim.high"):
+        assert list(cfg[track]) == ["origin", "cell_size", "dims", "gravity",
+                                    "flip_ratio", "dt", "particles_per_cell"]
+
+
+# a [sim.*] section as manifests stored it when SimParams also held the
+# particle separation, the grid scale and the solver controls
+_OLD_SIM_SECTION = """ps = 0.02
+gs = 1.5
+origin = 0.0,0.0,0.0
+cell_size = 0.06
+dims = 8,8,8
+gravity = 0.0,-9.81,0.0
+flip_ratio = 0.95
+dt = 0.025
+cfl = 2.0
+particles_per_cell = 8
+pressure_tol = 1e-06
+pressure_max_iter = 4000
+max_particles = 200000
+"""
+
+
+def test_manifest_with_the_old_sim_keys_still_loads(tmp_path):
+    d = tmp_path / "ds"
+    uio.write_manifest(_small_manifest(), str(d))
+    cfg = configparser.ConfigParser()
+    cfg.read(d / "manifest.cfg")
+    for track in ("sim.low", "sim.high"):
+        cfg.remove_section(track)
+        cfg.read_string(f"[{track}]\n{_OLD_SIM_SECTION}")
+    with open(d / "manifest.cfg", "w") as f:
+        cfg.write(f)
+    loaded = uio.read_manifest(str(d))
+    expect = SimParams(GridDesc((0, 0, 0), 0.06, (8, 8, 8)), dt=0.025)
+    assert loaded.sim_low == loaded.sim_high == expect
+    assert loaded.sim_low.particle_spacing == pytest.approx(0.03)
+
+
+def test_manifest_writes_numpy_scalars_as_plain_floats(tmp_path):
+    m = _small_manifest()
+    m.sim_low = SimParams.for_domain(0.02, 1.5, (0, 0, 0), (0.5, 0.5, 0.5),
+                                     dt=np.float64(0.025),
+                                     gravity=(np.float64(0.0), np.float32(-9.5), 0.0))
+    path = uio.write_manifest(m, str(tmp_path / "ds"))
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    assert cfg["sim.low"]["dt"] == "0.025"
+    assert cfg["sim.low"]["gravity"] == "0.0,-9.5,0.0"
+    assert uio.read_manifest(path).sim_low == m.sim_low
+
+
 def test_export_obj(tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -229,9 +285,9 @@ dt = 0.025
     assert len(theta) == 4
     assert defaults.pool_depth == 0.2
     assert defaults.emit_rate == 10
-    assert sim_low.particle_separation == 0.02
     assert sim_low.domain.cell_size == pytest.approx(2 * 0.02 * 1.5)
-    assert sim_high.grid_scale == 1.2
+    assert sim_low.particle_spacing == pytest.approx(0.03)
+    assert sim_high.particle_spacing == pytest.approx(0.012 * 1.2)
 
 
 def test_net_config_parse(tmp_path):
@@ -297,6 +353,10 @@ def test_minimal_configs_parse_to_the_dataclass_defaults(tmp_path):
     ("train", "lr = nan", "lr"),
     ("sim.low", "flip_ratio = 3.0", "flip_ratio"),
     ("sim.high", "particles_per_cell = 0", "particles_per_cell"),
+    ("sim.low", "particles_per_cell = 10", "particles_per_cell"),
+    ("sim.low", "ps = 0", "particle_separation"),
+    ("sim.low", "ps = nan", "particle_separation"),
+    ("sim.high", "gs = 0.5", "grid_scale"),
     ("scenes", "liquid_shape = blob", "liquid shape"),
 ])
 def test_configs_name_the_file_and_the_field_of_a_bad_value(tmp_path, section, entry, field):
@@ -316,10 +376,10 @@ def test_manifest_names_the_file_of_bad_sim_params(tmp_path):
     path = uio.write_manifest(_small_manifest(), str(tmp_path / "ds"))
     cfg = configparser.ConfigParser()
     cfg.read(path)
-    cfg["sim.high"]["cfl"] = "-1.0"
+    cfg["sim.high"]["flip_ratio"] = "2.0"
     with open(path, "w") as f:
         cfg.write(f)
-    with pytest.raises(ValueError, match=r"manifest\.cfg: \[sim\.high\] cfl"):
+    with pytest.raises(ValueError, match=r"manifest\.cfg: \[sim\.high\] flip_ratio"):
         uio.read_manifest(str(tmp_path / "ds"))
 
 
