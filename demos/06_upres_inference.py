@@ -1,5 +1,6 @@
-# Inference on a coarse liquid: band upsampling, multi-pass prediction,
-# motion injection, and semi-Lagrangian advection.
+# Inference on a coarse liquid: band upsampling, multi-pass prediction, and
+# semi-Lagrangian advection along the extrapolated input motion plus the
+# predicted displacement over one frame (u_ext + û).
 #
 # Uses a seeded (untrained) network to show the mechanics: the zero network
 # reduces the pipeline to passive transport; a nonzero one adds displacement

@@ -16,9 +16,8 @@ from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF,
                       solution_fields, solve_flow, stack_flow)
 from .net import (DisplacementNet, FeatureSet, LevelConfig, NetworkConfig,
                   TrainingSample, loss_up, loss_gradients, train)
-from .inference import (InferenceConfig, infer_frame, inject_motion,
-                        pass_noise_curve, resample_of_to_mac, surface_roughness,
-                        transfer_to_grid)
+from .inference import (InferenceConfig, infer_frame, pass_noise_curve,
+                        resample_of_to_mac, surface_roughness, transfer_to_grid)
 from .dataset import (DatasetManifest, PairRecord, ParamMatrix, augment,
                       gen_dataset, make_training_samples)
 from .metrics import epe, flow_accuracy, match_nearest
@@ -36,7 +35,7 @@ __all__ = [
     "advect_particles", "alignment_penalty", "apply_deformation", "augment",
     "build_system", "complex_cells", "epe", "extrapolate_mac", "feature_points",
     "flow_accuracy", "flow_interpolate", "gen_dataset", "infer_frame",
-    "inject_motion", "kernel_k", "loss_gradients", "loss_up",
+    "kernel_k", "loss_gradients", "loss_up",
     "make_training_samples", "match_nearest", "neighborhood_weights",
     "pass_noise_curve", "resample_narrow_band", "resample_of_to_mac",
     "sample_trilinear", "sdf_from_particles", "simulate", "solution_fields",

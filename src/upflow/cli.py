@@ -182,7 +182,11 @@ def _cmd_infer(args):
         out = infer_frame(x, u, model, cfg, dt=args.dt)
         dst = os.path.join(args.out, f"frame_{i:03d}.upf")
         uio.save_particles(dst, out)
-        print(f"{fn}: {x.count} -> {out.count} particles ({dst})")
+        # up-res'd particles that left the input velocity grid's box
+        outside = np.any((out.positions < u.desc.origin) | (out.positions > u.desc.upper),
+                         axis=1).sum()
+        print(f"{fn}: {x.count} -> {out.count} particles, {outside} outside the grid "
+              f"({dst})")
 
 
 def _cmd_eval(args):

@@ -1,12 +1,13 @@
 """Inference-time up-resing: band upsampling, multi-pass prediction,
-grid transfer, input-motion injection, and semi-Lagrangian advection.
+grid transfer, and semi-Lagrangian advection.
 
 Each pass reseeds the surface band (pass index drives the jitter), predicts
 displacements on the particles within that pass's band depth, and scatters
 them to a cell-centered field. The per-pass fields are averaged in fixed
-order, resampled onto the MAC layout as velocities (displacement over one
-frame), combined with the extrapolated input motion, and used to advect the
-upsampled particles. With a zero network the pipeline degenerates to passive
+order and resampled onto the MAC layout as velocities (displacement over one
+frame), û. The upsampled particles are advected by u_ext + û, where u_ext is
+the extrapolated input velocity: one frame of input motion plus one predicted
+displacement. With a zero network the pipeline degenerates to passive
 transport by the input velocity field.
 """
 
@@ -88,24 +89,6 @@ def resample_of_to_mac(u: DeformationField, like: MACGrid) -> MACGrid:
     return out
 
 
-def inject_motion(u_hat: MACGrid, u_mac: MACGrid) -> MACGrid:
-    """Add the input motion, modulated facewise by the normalized magnitude of
-    the predicted field: out = u_hat + W(u_hat) * u_mac with W in [0, 1].
-
-    A zero predicted field injects nothing (W(0) = 0).
-    """
-    if u_hat.desc != u_mac.desc:
-        raise GridMismatch("motion injection needs matching MAC grids")
-    peak = u_hat.max_abs()
-    out = u_hat.copy()
-    if peak == 0.0:
-        return out
-    for comp, vel in zip(out.components(), u_mac.components()):
-        w = np.clip(np.abs(comp) / peak, 0.0, 1.0)
-        comp += w * vel
-    return out
-
-
 def band_particles(x: ParticleSet, phi: ScalarGrid, depth: float) -> np.ndarray:
     """Mask of particles within `depth` (world units) of the surface, liquid side."""
     vals = sample_trilinear(phi, x.positions)
@@ -161,24 +144,22 @@ def average_fields(fields: list[DeformationField]) -> DeformationField:
 def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
                 cfg: InferenceConfig, dt: float) -> ParticleSet:
     """Up-res one frame: upsample the band, average multi-pass predictions,
-    compose with the extrapolated input motion, and advect.
+    add them to the extrapolated input motion, and advect.
 
-    The advection field is the extrapolated input velocity plus the injected
-    prediction field, so a zero network with zero input velocity is the
-    identity on the upsampled positions and a zero network with nonzero input
-    velocity reduces to passive transport.
+    The advection field is u_ext + û: the input velocity extrapolated
+    ``_D_MAC`` cells beyond the liquid, plus the averaged predicted
+    displacement over one frame. Each counts once, so a zero network with zero
+    input velocity is the identity on the upsampled positions and a zero
+    network with nonzero input velocity reduces to passive transport.
     """
     fields, upsampled, phi = inference_fields(x, u_mac, model, cfg, dt, cfg.passes)
     avg = average_fields(fields)
-    # displacements act as velocities over one frame when mixed with u_mac
+    # displacements act as velocities over one frame when added to u_ext
     vel_field = DeformationField(avg.desc, avg.vectors / dt)
     u_hat = resample_of_to_mac(vel_field, u_mac)
     u_ext = extrapolate_mac(u_mac, phi, _D_MAC)
-    injected = inject_motion(u_hat, u_ext)
-    advect_field = MACGrid(u_mac.desc,
-                           u_ext.u + injected.u,
-                           u_ext.v + injected.v,
-                           u_ext.w + injected.w)
+    advect_field = MACGrid(u_mac.desc, u_ext.u + u_hat.u, u_ext.v + u_hat.v,
+                           u_ext.w + u_hat.w)
     if len(upsampled) == 0:
         return ParticleSet.empty()
     return advect_particles(ParticleSet(upsampled, np.zeros_like(upsampled)),

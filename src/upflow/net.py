@@ -4,7 +4,8 @@ Architecture: three neighborhood set-convolution downsampling levels applied
 to both resolutions against shared query centers, a correspondence embedding
 at the deepest level (plus a couple of same-resolution smoothing
 convolutions), three upsampling levels with skip connections back to the
-input particles, and a linear regression head to 3 displacement components.
+input particles, and a linear regression head to 3 displacement components,
+in units of half the first level's radius.
 
 Every geometric quantity (sampled centers, neighbor lists, kernel weights,
 offsets) is computed in a canonical order derived from point coordinates, so
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import io
 import json
-import re
 import struct
 from dataclasses import dataclass
 
@@ -28,7 +28,6 @@ from .particles import ParticleSet, nearest_points, radius_pairs
 
 _BN_EPS = 1e-5
 _LR_DECAY = 0.1     # the learning rate anneals to this fraction of its start
-_PRE_BN_BIAS = re.compile(r".+\.l\d+\.b")   # MLP biases of older checkpoints
 
 
 # -- configuration -------------------------------------------------------------
@@ -83,13 +82,13 @@ class NetworkConfig:
             _check_widths(f"upconv_widths[{j}]", widths)
 
     @classmethod
-    def default(cls, n_particles: int, particle_separation: float,
+    def default(cls, n_particles: int, particle_spacing: float,
                 seed: int = 0) -> "NetworkConfig":
         """Desk-scale layout: counts N/4, N/16, N/64; radii 2, 4, 8 spacings;
         feature widths 32/64/128. Counts are floored at 8/4/2 so no level
         degenerates to a single neighborhood (whose batch statistics would
         carry zero variance)."""
-        ps = particle_separation
+        ps = particle_spacing
         c1 = max(n_particles // 4, 8)
         c2 = max(min(n_particles // 16, c1 // 2), 4)
         c3 = max(min(n_particles // 64, c2 // 2), 2)
@@ -643,7 +642,9 @@ def _apply(params: dict, config: NetworkConfig, plan, v_l: np.ndarray,
     feat = _embed(embed, smooth, f_l, f_h, params, "embed", config.smoothing_convs)
     for j, blend in enumerate(up):
         feat = _up(blend, feat, skips[-2 - j], params, f"up{j}")
-    return feat @ params["reg.W"] + params["reg.b"]
+    # the head predicts in one length unit, half the first level's radius:
+    # one particle spacing in the default layout
+    return (feat @ params["reg.W"] + params["reg.b"]) * (0.5 * config.levels[0].radius)
 
 
 class DisplacementNet:
@@ -678,7 +679,8 @@ class DisplacementNet:
 
     @classmethod
     def zeros(cls, config: NetworkConfig) -> "DisplacementNet":
-        """All-zero weights; forward output equals the (zero) regression bias."""
+        """All-zero weights; forward output is the (zero) regression bias
+        times the head's unit."""
         model = cls.create(config)
         for t in model.params.values():
             t.value[...] = 0.0
@@ -713,6 +715,7 @@ class DisplacementNet:
     # -- checkpointing ---------------------------------------------------
 
     MAGIC = b"FFN1"
+    VERSION = 2
 
     def save(self, path: str):
         with open(path, "wb") as f:
@@ -721,7 +724,7 @@ class DisplacementNet:
     def _serialize(self) -> bytes:
         buf = io.BytesIO()
         buf.write(self.MAGIC)
-        buf.write(struct.pack("<I", 1))
+        buf.write(struct.pack("<I", self.VERSION))
         cfg = self.config.to_json().encode("utf-8")
         buf.write(struct.pack("<I", len(cfg)))
         buf.write(cfg)
@@ -734,9 +737,6 @@ class DisplacementNet:
             buf.write(struct.pack("<B", data.ndim))
             buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
             buf.write(data.tobytes())
-        # the layout ends in a block of batch-norm running statistics,
-        # which older files fill and nothing reads; it is written empty
-        buf.write(struct.pack("<I", 0))
         return buf.getvalue()
 
     @classmethod
@@ -757,7 +757,10 @@ class DisplacementNet:
         if read(4) != cls.MAGIC:
             raise ValueError(f"{path} is not a displacement-net checkpoint")
         (version,) = struct.unpack("<I", read(4))
-        if version != 1:
+        if version == 1:
+            raise ValueError(f"{path}: checkpoint version 1 predicts in world units, "
+                             "which this network does not read; retrain it")
+        if version != cls.VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", read(4))
         text = read(clen)
@@ -766,22 +769,16 @@ class DisplacementNet:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
-        def read_block():
-            (n,) = struct.unpack("<I", read(4))
-            out = {}
-            for _ in range(n):
-                (nlen,) = struct.unpack("<H", read(2))
-                name = read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<B", read(1))
-                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-                count = int(np.prod(shape)) if ndim else 1
-                arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
-                out[name] = arr.astype(np.float64)
-            return out
-        # older files carry a Linear bias ahead of every batch norm, which
-        # the mean subtraction cancels; it is read and dropped
-        params = {k: v for k, v in read_block().items() if not _PRE_BN_BIAS.fullmatch(k)}
-        read_block()  # batch-norm statistics of older checkpoints, unused
+        (n,) = struct.unpack("<I", read(4))
+        params = {}
+        for _ in range(n):
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            count = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
+            params[name] = arr.astype(np.float64)
         want = cls.create(config).params
         for name in sorted(set(want) | set(params)):
             if name not in params:

@@ -1,6 +1,7 @@
 """End-to-end drive of every CLI subcommand on a miniature dataset."""
 
 import os
+import re
 import shutil
 
 import numpy as np
@@ -234,6 +235,23 @@ def test_infer_pairs_grids_by_name(workspace, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_infer_counts_particles_outside_the_grid(workspace, tmp_path, capsys):
+    # a head bias of 100 units (5 world units a frame) carries every up-res'd
+    # particle out of the 0.5-wide grid, and each frame line says so
+    _, ds, _ = workspace
+    infer_in = _copy_frames(ds / "pair_000", tmp_path / "in", "low_000.upf",
+                            "vel_low_000.ugr")
+    model = DisplacementNet.zeros(NetworkConfig(
+        levels=(LevelConfig(2, 0.1, (2,)),), embedding_widths=(2,),
+        smoothing_convs=0, upconv_widths=((2,),)))
+    model.params["reg.b"].value[...] = (100.0, 0.0, 0.0)
+    model.save(str(tmp_path / "model.ffn"))
+    assert main(["infer", "--input", str(infer_in), "--ckpt", str(tmp_path / "model.ffn"),
+                 "--out", str(tmp_path / "out"), "--dt", SIM_DT]) == 0
+    m = re.search(r"-> (\d+) particles, (\d+) outside the grid", capsys.readouterr().out)
+    assert m and int(m[1]) > 0 and m[1] == m[2]
+
+
 @pytest.mark.parametrize("dt", [None, "0", "-0.025", "nan", "inf", "soon"])
 def test_infer_requires_a_positive_time_step(tmp_path, capsys, dt):
     # a missing --dt used to advect the input motion by 1/30 s, silently
@@ -285,7 +303,7 @@ def test_eval_names_an_empty_frame(pair_frames, tmp_path, side):
     assert "empty" in str(exc.value.code)
 
 
-def test_train_and_infer_and_eval(workspace):
+def test_train_and_infer_and_eval(workspace, capsys):
     root, ds, net_cfg = workspace
     ckpt = root / "model.ffn"
     assert main(["train", "--manifest", str(ds), "--config", str(net_cfg),
@@ -296,12 +314,21 @@ def test_train_and_infer_and_eval(workspace):
     pair = ds / "pair_000"
     infer_in = _copy_frames(pair, root / "infer_in", "low_*.upf", "vel_low_*.ugr")
     infer_out = root / "infer_out"
+    capsys.readouterr()
     assert main(["infer", "--input", str(infer_in), "--ckpt", str(ckpt),
                  "--passes", "2", "--out", str(infer_out), "--dt", SIM_DT]) == 0
     frames = sorted(os.listdir(infer_out))
     assert len(frames) == 2
     up = uio.load_particles(str(infer_out / frames[0]))
     assert up.count > 0
+    # each frame line counts the up-res'd particles that left the input
+    # velocity grid's box: few of them may
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        m = re.search(r"-> (\d+) particles, (\d+) outside the grid", line)
+        assert m, line
+        assert int(m[2]) < 0.05 * int(m[1]), line
 
     # evaluation vs the high-res frames
     ref_dir = _copy_frames(pair, root / "ref_frames", "high_*.upf")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from upflow import (DeformationField, GridDesc, GridMismatch, InferenceConfig,
-                    MACGrid, ParticleSet, infer_frame, inject_motion,
-                    resample_of_to_mac, transfer_to_grid)
+                    MACGrid, ParticleSet, infer_frame, resample_narrow_band,
+                    resample_of_to_mac, sdf_from_particles, transfer_to_grid)
 from upflow.inference import average_fields, pass_noise_curve
 from upflow.net import DisplacementNet, NetworkConfig, LevelConfig
 
@@ -97,36 +97,6 @@ def test_resample_disjoint_domains_raise(desc):
         resample_of_to_mac(DeformationField.zeros(far), MACGrid.zeros(desc))
 
 
-# -- motion injection --------------------------------------------------------------
-
-def test_inject_zero_prediction_gives_zero(desc):
-    u_mac = MACGrid.constant(desc, (3.0, 1.0, -2.0))
-    out = inject_motion(MACGrid.zeros(desc), u_mac)
-    assert out.max_abs() == 0.0
-
-
-def test_inject_zero_input_motion_passthrough(desc):
-    u_hat = MACGrid.constant(desc, (0.5, 0.0, 0.25))
-    out = inject_motion(u_hat, MACGrid.zeros(desc))
-    assert np.array_equal(out.u, u_hat.u)
-    assert np.array_equal(out.w, u_hat.w)
-
-
-def test_inject_constant_fields_sum(desc):
-    u_hat = MACGrid.constant(desc, (1.0, 1.0, 1.0))
-    u_mac = MACGrid.constant(desc, (0.5, -0.5, 2.0))
-    out = inject_motion(u_hat, u_mac)
-    assert np.allclose(out.u, 1.5)
-    assert np.allclose(out.v, 0.5)
-    assert np.allclose(out.w, 3.0)
-
-
-def test_inject_mismatch(desc):
-    other = GridDesc((0, 0, 0), 0.2, (10, 10, 10))
-    with pytest.raises(GridMismatch):
-        inject_motion(MACGrid.zeros(desc), MACGrid.zeros(other))
-
-
 # -- full frame --------------------------------------------------------------------
 
 @pytest.mark.parametrize("knobs", [dict(band_target_per_cell=0), dict(band_target_per_cell=-3),
@@ -163,6 +133,34 @@ def test_infer_pure_advection_with_zero_net(desc):
     # constant field: RK2 advection is exactly x + c * dt
     assert out.count == expected.count
     assert np.allclose(out.positions, expected.positions + c * dt, atol=1e-12)
+
+
+def test_infer_counts_input_motion_once(desc):
+    # criterion 09's ball under a zero network whose head bias predicts one
+    # displacement along the input velocity: the band moves by one frame of
+    # input motion plus that displacement, u*dt + b*unit, and no farther
+    rng = np.random.default_rng(5)
+    c = np.array([0.5, 0.5, 0.5])
+    pts = c + 0.16 * rng.uniform(-1, 1, size=(400, 3))
+    pts = pts[np.linalg.norm(pts - c, axis=1) <= 0.16]
+    x = ParticleSet(pts, np.zeros_like(pts))
+    model = tiny_model(seed=13, zero=True)
+    b = 0.25
+    model.params["reg.b"].value[...] = (b, 0.0, 0.0)
+    unit = 0.5 * model.config.levels[0].radius
+    cfg = InferenceConfig(passes=2, band_target_per_cell=8)
+    dt = 0.05
+    out = infer_frame(x, MACGrid.constant(desc, (0.3, 0.0, 0.0)), model, cfg, dt=dt)
+    phi = sdf_from_particles(x, desc, 0.75 * desc.cell_size)
+    band = resample_narrow_band(x, phi, cfg.d_b, cfg.band_target_per_cell,
+                                seed=cfg.seed, frame=0)
+    moved = out.positions - band.positions
+    due = 0.3 * dt + b * unit
+    # band-edge particles sample partly covered cells and move less
+    assert moved[:, 0].max() == pytest.approx(due, abs=1e-12)
+    assert np.median(moved[:, 0]) == pytest.approx(due, abs=1e-12)
+    assert np.linalg.norm(moved, axis=1).max() <= due + 1e-12
+    assert np.abs(moved[:, 1:]).max() <= 1e-12
 
 
 def test_infer_particle_count_matches_band(desc):

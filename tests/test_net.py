@@ -99,7 +99,7 @@ def test_checkpoint_with_a_degenerate_config_names_the_file(tmp_path):
             return tiny_config().to_json().replace('"smoothing_convs": 1',
                                                    '"smoothing_convs": -2')
     path = tmp_path / "bad.ffn"
-    path.write_bytes(_ffn1_bytes(Edited(), [{}, {}]))
+    path.write_bytes(_checkpoint_bytes(Edited(), {}))
     with pytest.raises(ValueError, match=r"bad\.ffn: smoothing_convs"):
         DisplacementNet.load(str(path))
 
@@ -579,7 +579,9 @@ def test_forward_zero_params_outputs_bias():
     model.params["reg.b"].value[...] = np.array([0.5, -1.0, 2.0])
     xl, xh = cloud(20, seed=6), cloud(24, seed=7)
     out = model.predict(xl, xh)
-    assert np.allclose(out, [0.5, -1.0, 2.0])
+    # the head's unit is half the first level's radius
+    unit = 0.5 * cfg.levels[0].radius
+    assert np.allclose(out, np.array([0.5, -1.0, 2.0]) * unit)
 
 
 def test_forward_permutation_equivariance_bit_exact():
@@ -799,68 +801,23 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes()[:4] == b"FFN1"
     loaded2 = DisplacementNet.load(str(path2))
     assert np.array_equal(loaded.predict(xl, xh), loaded2.predict(xl, xh))
+    # the file is the version-2 layout: one tensor block, nothing after it
+    params = {k: t.value for k, t in model.params.items()}
+    assert path.read_bytes() == _checkpoint_bytes(cfg, params)
 
 
-def _ffn1_bytes(config, blocks):
-    """An FFN1 checkpoint written field by field: magic, version 1, the
-    config JSON, then each {name: array} block as float32 entries."""
-    out = [b"FFN1", struct.pack("<I", 1)]
+def _checkpoint_bytes(config, params):
+    """A version-2 checkpoint written field by field: magic, version, the
+    config JSON, then the {name: array} block as float32 entries."""
+    out = [b"FFN1", struct.pack("<I", 2)]
     cfg = config.to_json().encode("utf-8")
-    out += [struct.pack("<I", len(cfg)), cfg]
-    for block in blocks:
-        out.append(struct.pack("<I", len(block)))
-        for name in sorted(block):
-            arr = np.ascontiguousarray(block[name], dtype="<f4")
-            out += [struct.pack("<H", len(name)), name.encode("utf-8"),
-                    struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape),
-                    arr.tobytes()]
+    out += [struct.pack("<I", len(cfg)), cfg, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        out += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape),
+                arr.tobytes()]
     return b"".join(out)
-
-
-def test_checkpoint_loads_running_statistics_layout(tmp_path):
-    # checkpoints that still carry batch-norm running statistics load, the
-    # statistics are skipped, and the model predicts as the saved one did
-    cfg = tiny_config(seed=6)
-    model = DisplacementNet.create(cfg)
-    params = {k: t.value for k, t in model.params.items()}
-    stats = {}
-    for k, v in params.items():
-        if k.endswith(".gamma"):
-            stats[k[:-len("gamma")] + "mean"] = np.full(v.shape, 0.25)
-            stats[k[:-len("gamma")] + "var"] = np.full(v.shape, 4.0)
-    old = tmp_path / "old.ffn"
-    old.write_bytes(_ffn1_bytes(cfg, [params, stats]))
-    loaded = DisplacementNet.load(str(old))
-    assert loaded.config == cfg
-    for k, v in params.items():
-        assert np.array_equal(loaded.params[k].value, v.astype(np.float32))
-    xl, xh = cloud(16, seed=24), cloud(20, seed=25)
-    saved = DisplacementNet(cfg, {k: as_tensor(v.astype(np.float32).astype(np.float64))
-                                  for k, v in params.items()})
-    assert np.array_equal(loaded.predict(xl, xh), saved.predict(xl, xh))
-    # saving writes the same layout with an empty statistics block
-    new = tmp_path / "new.ffn"
-    loaded.save(str(new))
-    assert new.read_bytes() == _ffn1_bytes(cfg, [params, {}])
-
-
-def test_checkpoint_drops_pre_batch_norm_biases(tmp_path):
-    # files that carry a Linear bias ahead of every batch norm load without
-    # them; the batch norm's mean subtraction cancelled them anyway
-    cfg = tiny_config(seed=7)
-    model = DisplacementNet.create(cfg)
-    params = {k: t.value for k, t in model.params.items()}
-    biases = {k[:-len("W")] + "b": np.full(v.shape[1], 0.3)
-              for k, v in params.items() if re.fullmatch(r".+\.l\d+\.W", k)}
-    assert len(biases) == 8 and not set(biases) & set(params)
-    old = tmp_path / "old.ffn"
-    old.write_bytes(_ffn1_bytes(cfg, [{**params, **biases}, {}]))
-    loaded = DisplacementNet.load(str(old))
-    assert sorted(loaded.params) == sorted(params)
-    new = tmp_path / "new.ffn"
-    loaded.save(str(new))
-    # re-saving writes the other entries only
-    assert new.read_bytes() == _ffn1_bytes(cfg, [params, {}])
 
 
 @pytest.mark.parametrize("edit, name", [
@@ -877,7 +834,7 @@ def test_checkpoint_must_fit_its_config(tmp_path, edit, name):
     params = {k: t.value for k, t in DisplacementNet.create(cfg).params.items()}
     edit(params)
     path = tmp_path / "bad.ffn"
-    path.write_bytes(_ffn1_bytes(cfg, [params, {}]))
+    path.write_bytes(_checkpoint_bytes(cfg, params))
     with pytest.raises(ValueError, match=rf"bad\.ffn: parameter {re.escape(name)} "):
         DisplacementNet.load(str(path))
 
@@ -897,11 +854,23 @@ def test_truncated_checkpoint_raises(tmp_path):
 
 
 def test_checkpoint_unsupported_version_names_the_file(tmp_path):
-    path = tmp_path / "v2.ffn"
+    path = tmp_path / "v3.ffn"
     DisplacementNet.create(tiny_config()).save(str(path))
     raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-    with pytest.raises(ValueError, match="version 2") as err:
+    path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    with pytest.raises(ValueError, match="version 3") as err:
+        DisplacementNet.load(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_refuses_version_1(tmp_path):
+    # version 1 heads predicted in world units; read in the head's unit they
+    # would move particles by the wrong amount, so the file is refused
+    path = tmp_path / "v1.ffn"
+    DisplacementNet.create(tiny_config()).save(str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:] + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="version 1.*retrain") as err:
         DisplacementNet.load(str(path))
     assert str(path) in str(err.value)
 
