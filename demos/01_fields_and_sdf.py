@@ -1,4 +1,4 @@
-# Core field primitives: grids, kernel weights, particle SDFs, advection.
+# Core field primitives: grids, the blending kernel, particle SDFs, advection.
 #
 # Builds a particle-sampled sphere, turns it into a signed distance field,
 # probes the field, and advects the particles through a rotating velocity
@@ -7,15 +7,12 @@
 import numpy as np
 
 from upflow import (GridDesc, MACGrid, ParticleSet, advect_particles, kernel_k,
-                    neighborhood_weights, sample_trilinear, sdf_from_particles)
+                    sample_trilinear, sdf_from_particles)
 
 # ## The blending kernel
 # k(s) = max(0, (1 - s^2)^3 drops smoothly to zero at the support boundary.
 for s in (0.0, 0.25, 0.5, 0.75, 1.0):
     print(f"k({s:4.2f}) = {kernel_k(s):.6f}")
-
-w = neighborhood_weights([0, 0, 0], [[0.0, 0, 0], [0.5, 0, 0], [0.9, 0, 0]], 1.0)
-print("normalized weights of three neighbors:", np.round(w, 4), "sum", w.sum())
 
 # ## A particle-sampled sphere and its SDF
 rng = np.random.default_rng(0)

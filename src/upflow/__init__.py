@@ -1,18 +1,16 @@
 """Particle-liquid up-resing toolkit."""
 
-from .errors import (CenterMismatch, CGNotConverged, EmptyNeighborhood,
-                     GridMismatch, LengthMismatch, NonFiniteLoss, NoSurface,
-                     SolverDiverged, UpflowError)
+from .errors import (CenterMismatch, CGNotConverged, GridMismatch, LengthMismatch,
+                     NonFiniteLoss, NoSurface, SolverDiverged, UpflowError)
 from .grids import (DeformationField, GridDesc, MACGrid, ScalarGrid,
                     extrapolate_mac, sample_trilinear)
-from .kernels import kernel_k, neighborhood_weights
+from .kernels import kernel_k
 from .particles import ParticleSet, advect_particles
 from .sdf import sdf_from_particles
 from .flip import (SceneSpec, SimFrame, SimParams, FlipSolver,
                    resample_narrow_band, simulate)
-from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF,
-                      alignment_penalty, apply_deformation, build_system,
-                      complex_cells, feature_points, flow_interpolate,
+from .optflow import (AlignmentPenalty, FlowParams, SpaceTimeSDF, alignment_penalty,
+                      apply_deformation, build_system, complex_cells, feature_points,
                       solution_fields, solve_flow, stack_flow)
 from .net import (DisplacementNet, FeatureSet, LevelConfig, NetworkConfig,
                   TrainingSample, loss_up, loss_gradients, train)
@@ -26,18 +24,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentPenalty", "CGNotConverged", "CenterMismatch", "DatasetManifest",
-    "DeformationField", "DisplacementNet", "EmptyNeighborhood", "FeatureSet",
-    "FlipSolver", "FlowParams", "GridDesc", "GridMismatch", "InferenceConfig",
-    "LengthMismatch", "LevelConfig", "MACGrid",
-    "NetworkConfig", "NoSurface", "NonFiniteLoss", "PairRecord", "ParamMatrix",
-    "ParticleSet", "ScalarGrid", "SceneSpec", "SimFrame", "SimParams",
-    "SolverDiverged", "SpaceTimeSDF", "TrainingSample", "UpflowError",
-    "advect_particles", "alignment_penalty", "apply_deformation", "augment",
-    "build_system", "complex_cells", "epe", "extrapolate_mac", "feature_points",
-    "flow_accuracy", "flow_interpolate", "gen_dataset", "infer_frame",
-    "kernel_k", "loss_gradients", "loss_up",
-    "make_training_samples", "match_nearest", "neighborhood_weights",
-    "pass_noise_curve", "resample_narrow_band", "resample_of_to_mac",
-    "sample_trilinear", "sdf_from_particles", "simulate", "solution_fields",
-    "solve_flow", "stack_flow", "surface_roughness", "train", "transfer_to_grid",
+    "DeformationField", "DisplacementNet", "FeatureSet", "FlipSolver",
+    "FlowParams", "GridDesc", "GridMismatch", "InferenceConfig",
+    "LengthMismatch", "LevelConfig", "MACGrid", "NetworkConfig", "NoSurface",
+    "NonFiniteLoss", "PairRecord", "ParamMatrix", "ParticleSet", "ScalarGrid",
+    "SceneSpec", "SimFrame", "SimParams", "SolverDiverged", "SpaceTimeSDF",
+    "TrainingSample", "UpflowError", "advect_particles", "alignment_penalty",
+    "apply_deformation", "augment", "build_system", "complex_cells", "epe",
+    "extrapolate_mac", "feature_points", "flow_accuracy", "gen_dataset",
+    "infer_frame", "kernel_k", "loss_gradients", "loss_up",
+    "make_training_samples", "match_nearest", "pass_noise_curve",
+    "resample_narrow_band", "resample_of_to_mac", "sample_trilinear",
+    "sdf_from_particles", "simulate", "solution_fields", "solve_flow",
+    "stack_flow", "surface_roughness", "train", "transfer_to_grid",
 ]

@@ -33,17 +33,20 @@ from .optflow import FlowParams, SpaceTimeSDF, blend_weight, stack_flow
 from .sdf import sdf_from_particles
 
 
-def _load_frame_dir(path: str):
+def _frame_names(path: str) -> list[str]:
+    """The sorted .upf file names in `path`; exits naming `path` when there are none."""
     names = sorted(n for n in os.listdir(path) if n.endswith(".upf"))
     if not names:
         raise SystemExit(f"no .upf frames found in {path}")
-    return [uio.load_particles(os.path.join(path, n)) for n in names], names
+    return names
 
 
 def _paired_frame_dirs(path_a: str, path_b: str, verb: str):
     """The frames of two directories and their file names, cut to the
     shorter; a line names the frames left out."""
-    (a, names_a), (b, names_b) = _load_frame_dir(path_a), _load_frame_dir(path_b)
+    names_a, names_b = _frame_names(path_a), _frame_names(path_b)
+    a, b = ([uio.load_particles(os.path.join(path, n)) for n in names]
+            for path, names in ((path_a, names_a), (path_b, names_b)))
     t = min(len(a), len(b))
     if len(a) != len(b):
         print(f"{path_a} holds {len(a)} frames and {path_b} {len(b)}; {verb} the "
@@ -164,10 +167,16 @@ def _time_step(text: str) -> float:
     return dt
 
 
+def _threshold(text: str) -> float:
+    """argparse type of --threshold: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite threshold >= 0, got {text!r}")
+    return value
+
+
 def _cmd_infer(args):
-    names = sorted(n for n in os.listdir(args.input) if n.endswith(".upf"))
-    if not names:
-        raise SystemExit(f"no .upf frames found in {args.input}")
+    names = _frame_names(args.input)
     # each <stem>.upf moves through vel_<stem>.ugr, as write_manifest lays out
     vels = [f"vel_{n[:-4]}.ugr" for n in names]
     for fn, vn in zip(names, vels):
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="end-point error and flow accuracy")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--threshold", type=_threshold, default=0.1)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("export-obj", help="dump particle frames as OBJ points")

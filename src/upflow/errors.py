@@ -13,10 +13,6 @@ class UpflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EmptyNeighborhood(UpflowError):
-    """A kernel-weighted query found no particle inside its support radius."""
-
-
 class GridMismatch(UpflowError):
     """Two grids that must share a descriptor (origin, cell size, dims) do not."""
 

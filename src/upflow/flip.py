@@ -31,6 +31,7 @@ from .particles import ParticleSet, advect_particles, hash_uniform, nearest_poin
 
 SHAPES = ("sphere", "cube", "cylinder", "torus", "wedge", "frame")
 _PUSH_RETRIES = 4          # push-out steps after the first, for particles still inside
+_MAX_SUBSTEPS = 8          # CFL substeps per frame; a frame needing more is warned about
 
 
 @dataclass
@@ -370,13 +371,18 @@ class FlipSolver:
     # -- stepping --------------------------------------------------------
 
     def step(self) -> SimFrame:
-        """Advance one frame (internally substepped by the CFL condition)."""
+        """Advance one frame in CFL substeps, at most `_MAX_SUBSTEPS` of them;
+        a frame that needs more warns, naming both counts."""
         self._emit()
         dt = self.params.dt
         h = self.desc.cell_size
         vmax = float(np.abs(self.particles.velocities).max()) if self.particles.count else 0.0
         vmax = max(vmax, np.linalg.norm(self.params.gravity) * dt)
-        n_sub = int(np.clip(np.ceil(vmax * dt / (self.params.cfl * h)), 1, 8))
+        needed = max(1.0, float(np.ceil(vmax * dt / (self.params.cfl * h))))
+        if needed > _MAX_SUBSTEPS:
+            warnings.warn(f"frame {self.frame} needs {needed:.0f} CFL substeps; taking "
+                          f"{_MAX_SUBSTEPS}", RuntimeWarning)
+        n_sub = int(min(needed, _MAX_SUBSTEPS))
         grid = MACGrid.zeros(self.desc)
         for _ in range(n_sub):
             grid = self._substep(dt / n_sub)
@@ -401,7 +407,7 @@ class FlipSolver:
         mid = MACGrid(self.desc, 0.5 * (grid.u + old.u), 0.5 * (grid.v + old.v),
                       0.5 * (grid.w + old.w))
         fluid_phi = ScalarGrid(self.desc, np.where(self.last_fluid, -1.0, 1.0))
-        advect_grid = extrapolate_mac(mid, fluid_phi, 2)
+        advect_grid = extrapolate_mac(mid, fluid_phi)
         self._grid_to_particles(grid, old)
         if self.particles.count:
             moved = advect_particles(self.particles, advect_grid, dt)

@@ -23,6 +23,7 @@ from .errors import GridMismatch
 # MAC layout: sample i of the u, v or w component sits at
 # origin + (i + FACE_OFFSETS[component]) * cell_size
 FACE_OFFSETS = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
+D_MAC = 2       # cells `extrapolate_mac` extends face velocities beyond the liquid
 
 
 def face_shape(dims, axis: int) -> tuple[int, int, int]:
@@ -158,9 +159,6 @@ class MACGrid:
     def components(self):
         return (self.u, self.v, self.w)
 
-    def max_abs(self) -> float:
-        return max(np.abs(self.u).max(), np.abs(self.v).max(), np.abs(self.w).max())
-
 
 def _trilinear_stencil(shape, t: np.ndarray):
     """The eight (corner index, weight) pairs of trilinear interpolation at
@@ -273,21 +271,19 @@ def _propagate_layer(vals: np.ndarray, known: np.ndarray):
     return vals, known | frontier
 
 
-def extrapolate_mac(vel: MACGrid, phi: ScalarGrid, d_mac: int) -> MACGrid:
-    """Extend face velocities `d_mac` cells beyond the liquid (phi <= 0).
+def extrapolate_mac(vel: MACGrid, phi: ScalarGrid) -> MACGrid:
+    """Extend face velocities `D_MAC` cells beyond the liquid (phi <= 0).
 
     Faces adjacent to a liquid cell are treated as known and never modified;
     each breadth-first layer averages the already-known neighbors.
     """
-    if d_mac < 1:
-        raise ValueError(f"d_mac must be >= 1, got {d_mac}")
     _require_same_desc(vel.desc, phi.desc)
     out = vel.copy()
     comps = [out.u, out.v, out.w]
     for axis in range(3):
         vals = comps[axis]
         known = face_mask(phi.values <= 0.0, axis, False)
-        for _ in range(d_mac):
+        for _ in range(D_MAC):
             vals, known = _propagate_layer(vals, known)
         comps[axis][...] = vals
     return out

@@ -26,7 +26,6 @@ from .net import DisplacementNet
 from .particles import ParticleSet, advect_particles
 from .sdf import sdf_from_particles
 
-_D_MAC = 2          # input velocities extend this many cells beyond the liquid
 _DEPTHS = (0.25, 0.5, 0.75)   # band-depth fractions, one per pass, repeating
 
 
@@ -56,18 +55,15 @@ class InferenceConfig:
 def transfer_to_grid(x: ParticleSet, omega: np.ndarray, desc: GridDesc):
     """Kernel-weighted scatter of per-particle displacements to cell centers.
 
-    Each particle reaches 1.5 cells. Returns (DeformationField,
-    covered_mask); cells no particle reaches hold zero and are flagged
-    uncovered.
+    Each particle reaches 1.5 cells; cells no particle reaches hold zero.
     """
     omega = np.asarray(omega, dtype=np.float64).reshape(-1, 3)
     if len(omega) != x.count:
         raise ValueError("one displacement per particle is required")
     h = desc.cell_size
     wsum, acc = kernel_scatter(x.positions, omega, desc.origin, h, desc.dims, 1.5 * h)
-    covered = wsum > 0.0
-    vectors = np.where(covered[..., None], acc / np.maximum(wsum, 1e-300)[..., None], 0.0)
-    return DeformationField(desc, vectors), covered
+    # a cell no particle reaches has acc = wsum = 0, so its vector is 0 / 1e-300
+    return DeformationField(desc, acc / np.maximum(wsum, 1e-300)[..., None])
 
 
 def resample_of_to_mac(u: DeformationField, like: MACGrid) -> MACGrid:
@@ -97,12 +93,10 @@ def band_particles(x: ParticleSet, phi: ScalarGrid, depth: float) -> np.ndarray:
 
 def _pass_field(x_band: ParticleSet, model: DisplacementNet, u_mac: MACGrid, dt: float):
     """Predict displacements for one band subset and scatter them to the grid."""
-    desc = u_mac.desc
     if x_band.count == 0:
-        return DeformationField.zeros(desc)
+        return DeformationField.zeros(u_mac.desc)
     omega = model.predict(x_band, advect_particles(x_band, u_mac, dt))
-    field, _ = transfer_to_grid(x_band, omega, desc)
-    return field
+    return transfer_to_grid(x_band, omega, u_mac.desc)
 
 
 def inference_fields(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
@@ -147,7 +141,7 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
     add them to the extrapolated input motion, and advect.
 
     The advection field is u_ext + û: the input velocity extrapolated
-    ``_D_MAC`` cells beyond the liquid, plus the averaged predicted
+    ``grids.D_MAC`` cells beyond the liquid, plus the averaged predicted
     displacement over one frame. Each counts once, so a zero network with zero
     input velocity is the identity on the upsampled positions and a zero
     network with nonzero input velocity reduces to passive transport.
@@ -157,7 +151,7 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
     # displacements act as velocities over one frame when added to u_ext
     vel_field = DeformationField(avg.desc, avg.vectors / dt)
     u_hat = resample_of_to_mac(vel_field, u_mac)
-    u_ext = extrapolate_mac(u_mac, phi, _D_MAC)
+    u_ext = extrapolate_mac(u_mac, phi)
     advect_field = MACGrid(u_mac.desc, u_ext.u + u_hat.u, u_ext.v + u_hat.v,
                            u_ext.w + u_hat.w)
     if len(upsampled) == 0:
@@ -166,12 +160,12 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
                             advect_field, dt)
 
 
-def surface_roughness(x: ParticleSet, desc: GridDesc, radius: float) -> float:
-    """Mean |Laplacian| of the particle SDF over the surface band; a rough,
-    noisy surface scores higher than a smooth one."""
+def surface_roughness(x: ParticleSet, desc: GridDesc) -> float:
+    """Mean |Laplacian| of the particle SDF (at the default radius) over the
+    surface band; a rough, noisy surface scores higher than a smooth one."""
     from .optflow import _laplacian
 
-    phi = sdf_from_particles(x, desc, radius)
+    phi = sdf_from_particles(x, desc)
     band = np.abs(phi.values) <= 2.0 * desc.cell_size
     if not band.any():
         return 0.0

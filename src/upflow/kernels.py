@@ -1,16 +1,13 @@
-"""Smooth blending kernel, normalized neighborhood weights, and the kernel
-scatter of particle values to cell centers.
+"""Smooth blending kernel and the kernel scatter of particle values to cell
+centers.
 
 The kernel k(s) = max(0, (1 - s^2)^3) is evaluated on distances expressed in
 units of the support radius R, so a particle at distance R contributes zero.
-Normalized weights drop the common 1/R factor, which cancels in the ratio.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import EmptyNeighborhood
 
 
 def kernel_k(s):
@@ -20,23 +17,6 @@ def kernel_k(s):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def neighborhood_weights(center: np.ndarray, neighbors: np.ndarray, radius: float) -> np.ndarray:
-    """Normalized kernel weights of `neighbors` (n, 3) around `center` (3,).
-
-    Weights sum to 1; particles at distance >= radius get weight 0.
-    Raises EmptyNeighborhood when no particle lies strictly inside the radius.
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    neighbors = np.asarray(neighbors, dtype=np.float64).reshape(-1, 3)
-    d = np.linalg.norm(neighbors - np.asarray(center, dtype=np.float64), axis=1)
-    w = kernel_k(d / radius)
-    total = w.sum()
-    if total <= 0.0:
-        raise EmptyNeighborhood(f"no particle within radius {radius} of {center}")
-    return w / total
 
 
 def _scatter_terms(positions: np.ndarray, origin: np.ndarray, h: float,

@@ -56,7 +56,11 @@ def epe(pred_positions, pred_displacements, ref_positions, ref_displacements) ->
 def flow_accuracy(pred_positions, pred_displacements, ref_positions,
                   ref_displacements, threshold: float = 0.1,
                   eps: float = 0.001) -> float:
-    """Fraction of matched displacements with error within threshold + eps."""
+    """Fraction of matched displacements with error within threshold + eps.
+    Raises ValueError unless `threshold` and `eps` are finite and >= 0."""
+    if not (0.0 <= threshold < np.inf and 0.0 <= eps < np.inf):
+        raise ValueError("threshold and eps must be finite and >= 0, got "
+                         f"{threshold} and {eps}")
     err = _matched_errors(pred_positions, pred_displacements, ref_positions,
                           ref_displacements)
     return float(np.mean(err <= threshold + eps))

@@ -167,25 +167,15 @@ def lexical_order(points: np.ndarray) -> np.ndarray:
 
 
 def farthest_point_indices(points: np.ndarray, n: int) -> np.ndarray:
-    """Canonical farthest-point sampling.
+    """Canonical farthest-point sampling: the sequence of sampled positions
+    depends only on the point set, never on its order.
 
-    Starts at the lexicographically smallest point and breaks distance ties
-    toward lexicographically smaller coordinates, so the sequence of sampled
-    positions depends only on the point set, never on its order.
-    """
-    return _farthest_point_sampling(points, n)[0]
-
-
-def _farthest_point_sampling(points: np.ndarray, n: int):
-    """`farthest_point_indices` and every point's final distance to the
-    sampled set. Distances are sqrt((dx*dx + dy*dy) + dz*dz) over
-    contiguous coordinate columns, the bits `np.linalg.norm` gives.
-
-    The sampling runs over the points in lexical order, so the first of
-    several equal maxima, the one `argmax` picks, is the lexicographically
-    smallest (the lowest index among equal points, as the sort is stable)."""
+    The sampling runs over the points in lexical order, so it starts at the
+    lexicographically smallest point and the first of several equal maxima,
+    the one `argmax` picks, is the lexicographically smallest (the lowest
+    index among equal points, as the sort is stable). Distances are
+    sqrt((dx*dx + dy*dy) + dz*dz), the bits `np.linalg.norm` gives."""
     m = len(points)
-    n = min(n, m)
     order = lexical_order(points)
     x, y, z = np.ascontiguousarray(points[order].T)
     chosen = [0]
@@ -201,14 +191,12 @@ def _farthest_point_sampling(points: np.ndarray, n: int):
         np.sqrt(out, out=out)
 
     dist_to(0, d)
-    for _ in range(1, n):
+    for _ in range(1, min(n, m)):
         nxt = int(d.argmax())
         chosen.append(nxt)
         dist_to(nxt, near)
         np.minimum(d, near, out=d)
-    dist = np.empty(m)
-    dist[order] = d
-    return order[chosen], dist
+    return order[chosen]
 
 
 def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
@@ -307,11 +295,11 @@ def down_geometry(points: np.ndarray, centers: np.ndarray, level: LevelConfig) -
 
 
 def embedding_geometry(low: np.ndarray, high: np.ndarray, radius: float,
-                       max_neighbors: int, smoothing_radius: float):
-    """Groupings of the embedding (high points around each low point) and of
-    the smoothing convolutions after it (low points around each low point)."""
+                       max_neighbors: int):
+    """Groupings within `radius` of the embedding (high points around each
+    low point) and of the smoothing convolutions after it (low around low)."""
     idx, valid = ball_gather(high, low, radius, max_neighbors)
-    sidx, svalid = ball_gather(low, low, smoothing_radius, max_neighbors)
+    sidx, svalid = ball_gather(low, low, radius, max_neighbors)
     return (Grouping(idx, valid, low[:, None, :] - high[idx]),
             Grouping(sidx, svalid, low[:, None, :] - low[sidx]))
 
@@ -569,20 +557,19 @@ def downsample_conv(points: np.ndarray, feats: Tensor, level: LevelConfig,
 
 def flow_embedding(low: FeatureSet, high: FeatureSet, radius: float,
                    max_neighbors: int, params: dict, prefix: str,
-                   smoothing_convs: int, smoothing_radius: float) -> FeatureSet:
+                   smoothing_convs: int) -> FeatureSet:
     """Correspondence features between the two resolutions.
 
     Both inputs must have been grouped against the same query centers. Each
     low entry is paired with the high entries within `radius`; the MLP sees
     the concatenated features plus the low-minus-high positional offset, and
-    the pairs are max-pooled. A few same-resolution convolutions then smooth
-    the embedded features spatially.
+    the pairs are max-pooled. A few same-resolution convolutions over the
+    same radius then smooth the embedded features spatially.
     """
     if low.centers is None or high.centers is None \
             or not np.array_equal(low.centers, high.centers):
         raise CenterMismatch("flow embedding requires matching neighborhood centers")
-    embed, smooth = embedding_geometry(low.points, high.points, radius, max_neighbors,
-                                       smoothing_radius)
+    embed, smooth = embedding_geometry(low.points, high.points, radius, max_neighbors)
     emb = _embed(embed, smooth, low.features, high.features, params, prefix,
                  smoothing_convs)
     return FeatureSet(points=low.points, features=emb, centers=low.centers)
@@ -617,8 +604,7 @@ def geometry_plan(x_l: np.ndarray, x_h: np.ndarray, config: NetworkConfig):
         down_h.append(down_geometry(cur_h, qc, lv))
         cur_l, cur_h = down_l[-1].xbar, down_h[-1].xbar
     embed, smooth = embedding_geometry(cur_l, cur_h, config.embedding_radius,
-                                       config.levels[-1].max_neighbors,
-                                       config.embedding_radius)
+                                       config.levels[-1].max_neighbors)
     points = [x_l] + [g.xbar for g in down_l]               # fine to coarse
     up = [up_geometry(points[i + 1], points[i], lv.radius, lv.max_neighbors)
           for i, lv in reversed(list(enumerate(config.levels)))]
@@ -685,9 +671,6 @@ class DisplacementNet:
         for t in model.params.values():
             t.value[...] = 0.0
         return model
-
-    def parameter_names(self):
-        return sorted(self.params.keys())
 
     def zero_grad(self):
         for t in self.params.values():

@@ -383,18 +383,3 @@ def blend_weight(alpha) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"blend weight alpha must lie in [0, 1], got {alpha}")
     return alpha
-
-
-def flow_interpolate(x_src: ParticleSet, sdf_src: SpaceTimeSDF, sdf_dst: SpaceTimeSDF,
-                     alpha: float, params: FlowParams):
-    """Solve source->destination flow and displace source particles by alpha*u.
-
-    The particles move through the first frame's field. Returns the
-    displaced particles and that field.
-
-    Raises CGNotConverged when the solve runs out of iterations.
-    """
-    alpha = blend_weight(alpha)
-    fields, info = stack_flow(sdf_src, sdf_dst, params)
-    info.require_converged("flow_interpolate")
-    return displace_particles(x_src, fields[0], alpha), fields[0]

@@ -299,8 +299,7 @@ def test_criterion_05_gradient_checks():
         def run():
             low = FeatureSet(pts, fl, centers=centers)
             high = FeatureSet(pts + 0.02, fh, centers=centers)
-            out = flow_embedding(low, high, 0.8, 4, params, "emb",
-                                 smoothing_convs=0, smoothing_radius=0.8)
+            out = flow_embedding(low, high, 0.8, 4, params, "emb", smoothing_convs=0)
             return out.features.abs().sum()
         w = max(w, _fd_match(run, params["emb.l0.W"], rng))
         w = max(w, _fd_match(run, fl, rng))
@@ -340,7 +339,7 @@ def test_criterion_05_gradient_checks():
     _, grads = loss_gradients(model, sample)
     eps = 1e-6
     w = 0.0
-    names = model.parameter_names()
+    names = sorted(model.params)
     for name in rng.permutation(names)[:12]:
         p = model.params[name]
         flat = p.value.reshape(-1)
@@ -506,7 +505,7 @@ def test_criterion_10_multipass_trend():
     # of the averaged field is measured at whole sweep counts 6 -> 9 -> 12
     cycle = norm[[5, 8, 11]]
     dilution_ok = bool(np.all(np.diff(cycle) <= 1e-15))
-    rough = surface_roughness(x, desc, 0.75 * desc.cell_size)
+    rough = surface_roughness(x, desc)
     _report(10, "pass noise non-increasing over 1..6; averaged norm non-increasing beyond 6",
             noise_ok and dilution_ok,
             f"dev {dev[0]:.2e}->{dev[5]:.2e}, norm@6/9/12 {cycle.round(6)}, "

@@ -290,6 +290,29 @@ def test_eval_reports_frame_count_mismatch(pair_frames, tmp_path, capsys):
     assert "frame 001" not in out
 
 
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_a_directory_without_frames_is_named(tmp_path, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = {"infer": ["infer", "--input", str(empty), "--ckpt", str(tmp_path / "model.ffn"),
+                      "--out", str(tmp_path / "out"), "--dt", SIM_DT],
+            "eval": ["eval", "--pred", str(empty), "--ref", str(empty)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"no .upf frames found in {empty}"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf", "close"])
+def test_eval_rejects_a_negative_or_non_finite_threshold(pair_frames, capsys, threshold):
+    low_frames, high_frames = pair_frames
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--pred", str(low_frames), "--ref", str(high_frames),
+              "--threshold", threshold])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threshold" in err and repr(threshold) in err
+
+
 @pytest.mark.parametrize("side", ["pred", "ref"])
 def test_eval_names_an_empty_frame(pair_frames, tmp_path, side):
     low_frames, high_frames = pair_frames

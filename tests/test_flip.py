@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -654,6 +655,28 @@ def test_push_out_warns_with_the_count_left_inside(monkeypatch):
         out = solver._push_out_of_solids(pts.copy())
     left = int((solver._obstacle_phi(out) < 0.0).sum())
     assert left > 0
+
+
+def test_a_frame_past_the_substep_cap_warns_with_both_counts(monkeypatch):
+    # g * dt = 4.9 at dt 0.5 crosses 15.3 cells of 0.08 in one frame, at
+    # most 2 per substep: 16 substeps are needed and 8 are taken
+    params = SimParams.for_domain(0.02, 2.0, (0, 0, 0), (0.4, 0.4, 0.4), dt=0.5)
+    scene = SceneSpec(container_dims=(0.4, 0.4, 0.4), liquid_shape="sphere",
+                      liquid_position=(0.2, 0.3, 0.2), liquid_size=0.08)
+    solver = FlipSolver(scene, params, seed=0)
+    taken = []
+    real = solver._substep
+    monkeypatch.setattr(solver, "_substep", lambda dt: taken.append(dt) or real(dt))
+    with pytest.warns(RuntimeWarning, match=r"^frame 0 needs 16 CFL substeps; taking 8$"):
+        solver.step()
+    assert taken == [0.5 / 8] * 8
+
+
+def test_a_frame_within_the_substep_cap_does_not_warn():
+    solver = FlipSolver(still_pool_scene(), small_params(), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver.step()
 
 
 def test_solid_face_masks_are_built_once_per_solver(monkeypatch):

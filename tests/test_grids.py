@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from upflow import (DeformationField, GridDesc, GridMismatch, MACGrid,
                     ParticleSet, ScalarGrid, advect_particles, extrapolate_mac,
                     sample_trilinear)
-from upflow.grids import face_mask, pcg
+from upflow.grids import D_MAC, face_mask, pcg
 
 
 @pytest.fixture
@@ -89,7 +89,7 @@ def test_extrapolate_fully_liquid_is_identity(desc):
     phi = ScalarGrid.full(desc, -1.0)
     g = MACGrid.zeros(desc)
     g.u[...] = np.random.default_rng(2).normal(size=g.u.shape)
-    out = extrapolate_mac(g, phi, 2)
+    out = extrapolate_mac(g, phi)
     assert np.array_equal(out.u, g.u)
     assert np.array_equal(out.v, g.v)
     assert np.array_equal(out.w, g.w)
@@ -108,7 +108,7 @@ def test_extrapolate_never_touches_known_faces(desc):
     known_u = np.zeros(g.u.shape, dtype=bool)
     known_u[:-1][liquid] = True
     known_u[1:][liquid] = True
-    out = extrapolate_mac(g, phi, 3)
+    out = extrapolate_mac(g, phi)
     assert np.array_equal(out.u[known_u], g.u[known_u])
 
 
@@ -153,8 +153,8 @@ def test_extrapolate_matches_bfs_oracle():
     known[:-1][liquid] = True
     known[1:][liquid] = True
     base = np.where(known, g.u, 0.0)
-    oracle, _ = _bfs_oracle(base, known, 2)
-    out = extrapolate_mac(MACGrid(desc, base, g.v * 0, g.w * 0), phi, 2)
+    oracle, _ = _bfs_oracle(base, known, D_MAC)
+    out = extrapolate_mac(MACGrid(desc, base, g.v * 0, g.w * 0), phi)
     assert np.allclose(out.u, oracle, atol=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_extrapolate_constant_half_space():
     known[:-1][liquid] = True
     known[1:][liquid] = True
     start = MACGrid(desc, np.where(known, 2.5, 0.0), g.v * 0, g.w * 0)
-    out = extrapolate_mac(start, phi, 2)
+    out = extrapolate_mac(start, phi)
     # two extra face layers carry the constant
     assert np.allclose(out.u[:8], 2.5)
 
@@ -241,7 +241,7 @@ def test_grid_mismatch_on_extrapolate():
     a = GridDesc((0, 0, 0), 0.1, (4, 4, 4))
     b = GridDesc((0, 0, 0), 0.2, (4, 4, 4))
     with pytest.raises(GridMismatch):
-        extrapolate_mac(MACGrid.zeros(a), ScalarGrid.full(b, -1.0), 2)
+        extrapolate_mac(MACGrid.zeros(a), ScalarGrid.full(b, -1.0))
 
 
 # -- preconditioned CG -------------------------------------------------------------

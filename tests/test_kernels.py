@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upflow import EmptyNeighborhood, GridDesc, kernel_k, neighborhood_weights
+from upflow import GridDesc, kernel_k
 from upflow.kernels import kernel_scatter
 
 
@@ -30,44 +30,46 @@ def test_kernel_monotone_and_smooth_at_support():
     assert abs(slope) < 1e-11
 
 
+def center_weights(offsets, radius):
+    """Normalized kernel weights of particles at `offsets` from one cell
+    center, as `kernel_scatter`'s acc / wsum gives them (the ratio
+    `transfer_to_grid` forms)."""
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1, 3)
+    wsum, acc = kernel_scatter(offsets, np.eye(len(offsets)), (-0.5, -0.5, -0.5), 1.0,
+                               (1, 1, 1), radius)
+    return acc[0, 0, 0] / wsum[0, 0, 0]
+
+
 def test_weights_single_neighbor_at_center():
-    w = neighborhood_weights([0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], 1.0)
+    w = center_weights([[0.0, 0.0, 0.0]], 1.0)
     assert w.tolist() == [1.0]
 
 
 def test_weights_symmetric_pair():
-    w = neighborhood_weights([0, 0, 0], [[0.3, 0, 0], [-0.3, 0, 0]], 1.0)
+    w = center_weights([[0.3, 0, 0], [-0.3, 0, 0]], 1.0)
     assert w[0] == pytest.approx(0.5)
     assert w[1] == pytest.approx(0.5)
 
 
 def test_weights_derived_ratio():
     # neighbors at s = 0 and s = 0.5 in units of R
-    w = neighborhood_weights([0, 0, 0], [[0, 0, 0], [0.5, 0, 0]], 1.0)
+    w = center_weights([[0, 0, 0], [0.5, 0, 0]], 1.0)
     k = 0.421875
     assert w[0] == pytest.approx(1.0 / (1.0 + k), rel=1e-12)
     assert w[1] == pytest.approx(k / (1.0 + k), rel=1e-12)
 
 
 def test_weights_beyond_radius_are_zero():
-    w = neighborhood_weights([0, 0, 0], [[0.1, 0, 0], [5.0, 0, 0]], 1.0)
+    w = center_weights([[0.1, 0, 0], [5.0, 0, 0]], 1.0)
     assert w[1] == 0.0
     assert w[0] == 1.0
-
-
-def test_empty_neighborhood_raises():
-    with pytest.raises(EmptyNeighborhood):
-        neighborhood_weights([0, 0, 0], [[2.0, 0, 0]], 1.0)
 
 
 @given(st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
                           st.floats(-0.9, 0.9)), min_size=1, max_size=20))
 def test_weights_always_sum_to_one(pts):
-    pts = np.array(pts)
-    if not len(pts):
-        return
-    # at least the first point is inside the unit radius by construction
-    w = neighborhood_weights([0.0, 0.0, 0.0], pts, 2.0)
+    # every point lies inside the radius by construction
+    w = center_weights(pts, 2.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
 

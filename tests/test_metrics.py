@@ -78,6 +78,17 @@ def test_accuracy_monotone_in_threshold():
     assert 0.0 <= values[0] and values[-1] <= 1.0
 
 
+@pytest.mark.parametrize("name, value", [("threshold", float("nan")), ("threshold", -1.0),
+                                         ("threshold", float("inf")), ("eps", float("nan")),
+                                         ("eps", -0.001)])
+def test_accuracy_rejects_a_negative_or_non_finite_threshold(name, value):
+    # a NaN or negative threshold used to score every match as wrong: 0.0
+    pp, pd, rp, rd = random_instance(31)
+    with pytest.raises(ValueError, match=rf"finite and >= 0, got .*{value}"):
+        flow_accuracy(pp, pd, rp, rd, **{name: value})
+    assert flow_accuracy(pp, pd, pp, pd, threshold=0.0, eps=0.0) == 1.0
+
+
 def test_match_nearest_agrees_with_brute_force():
     for seed in range(3):
         pp, _, rp, _ = random_instance(seed + 40, n_pred=77, n_ref=53)

@@ -12,9 +12,8 @@ from upflow import io as uio
 from upflow.autodiff import Tensor, _unbroadcast, as_tensor, custom, parameter
 from upflow import net as unet
 from upflow.net import (_BN_EPS, _LR_DECAY, AdamState, DisplacementNet, FeatureSet,
-                        Grouping, LevelConfig, NetworkConfig, _farthest_point_sampling,
-                        _init_mlp, _layers, _mlp_backward, _mlp_forward,
-                        _scatter_rows, _set_conv, _up,
+                        Grouping, LevelConfig, NetworkConfig, _init_mlp, _layers,
+                        _mlp_backward, _mlp_forward, _scatter_rows, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
                         flow_embedding, lexical_order, loss_gradients,
                         nearest_indices, neighborhood_assignment, sample_loss,
@@ -125,7 +124,7 @@ def test_fps_is_permutation_stable():
 
 def _loop_farthest_point_indices(points, n):
     """Farthest-point sampling as it was written before it ran over
-    coordinate columns, returning the final distances as well."""
+    coordinate columns."""
     m = len(points)
     n = min(n, m)
     first = lexical_order(points)[0]
@@ -140,7 +139,7 @@ def _loop_farthest_point_indices(points, n):
         nxt = int(cand[0])
         chosen.append(nxt)
         d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
-    return np.asarray(chosen, dtype=np.int64), d
+    return np.asarray(chosen, dtype=np.int64)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,11 +151,8 @@ def test_fps_equals_the_row_loop_on_ties_and_duplicates(seed):
     for pts in (lattice, np.concatenate([jittered, jittered[:40]]),
                 np.concatenate([lattice[:60], lattice[:60] + 1e-9])):
         for n in (1, 7, 64, len(pts) + 5):
-            got_idx, got_d = _farthest_point_sampling(pts, n)
-            want_idx, want_d = _loop_farthest_point_indices(pts, n)
-            assert np.array_equal(got_idx, want_idx)
-            assert got_d.tobytes() == want_d.tobytes()
-            assert np.array_equal(farthest_point_indices(pts, n), want_idx)
+            assert _same_bytes([farthest_point_indices(pts, n)],
+                               [_loop_farthest_point_indices(pts, n)])
 
 
 def test_fps_deterministic_and_spread():
@@ -236,8 +232,8 @@ def test_ball_gather_equals_the_loop_on_random_clouds():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def tie_scan_farthest_point_sampling(points, n):
-    """`_farthest_point_sampling` as it was before it ran over presorted
+def tie_scan_farthest_point_indices(points, n):
+    """`farthest_point_indices` as it was before it ran over presorted
     coordinates: each step scans for every maximum and sorts the ties."""
     m = len(points)
     n = min(n, m)
@@ -265,7 +261,7 @@ def tie_scan_farthest_point_sampling(points, n):
         chosen.append(nxt)
         dist_to(nxt, near)
         np.minimum(d, near, out=d)
-    return np.asarray(chosen, dtype=np.int64), d
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def two_sort_ball_gather(points, queries, radius, max_neighbors):
@@ -351,8 +347,8 @@ def test_ball_gather_and_fps_equal_their_two_sort_forms(pts, dup, qs, half, spac
     assert _same_bytes(ball_gather(points, queries, radius, k),
                        two_sort_ball_gather(points, queries, radius, k))
     for n in (1, k, len(points) // 2 + 1, len(points) + 3):
-        assert _same_bytes(_farthest_point_sampling(points, n),
-                           tie_scan_farthest_point_sampling(points, n))
+        assert _same_bytes([farthest_point_indices(points, n)],
+                           [tie_scan_farthest_point_indices(points, n)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,8 +382,8 @@ def test_geometry_equals_its_padded_form_on_random_clouds():
                            [want.idx, want.valid, want.offsets, want.xbar, want.scale])
         assert _same_bytes(up_geometry(queries, points, radius, k),
                            padded_up_geometry(queries, points, radius, k))
-        assert _same_bytes(_farthest_point_sampling(points, len(queries)),
-                           tie_scan_farthest_point_sampling(points, len(queries)))
+        assert _same_bytes([farthest_point_indices(points, len(queries))],
+                           [tie_scan_farthest_point_indices(points, len(queries))])
 
 
 @pytest.mark.parametrize("spacing", [0.1, 0.37])
@@ -467,7 +463,7 @@ def test_embedding_requires_shared_centers():
     b = FeatureSet(np.zeros((2, 3)), as_tensor(np.zeros((2, 4))),
                    centers=np.ones((2, 3)))
     with pytest.raises(CenterMismatch):
-        flow_embedding(a, b, 0.5, 8, model.params, "embed", 0, 0.5)
+        flow_embedding(a, b, 0.5, 8, model.params, "embed", 0)
 
 
 def test_embedding_constant_shift_offsets():
@@ -674,7 +670,7 @@ def test_full_loss_gradient_matches_fd():
     rng = np.random.default_rng(14)
     eps = 1e-6
     checked = 0
-    for name in model.parameter_names():
+    for name in sorted(model.params):
         p = model.params[name]
         flat = p.value.reshape(-1)
         for _ in range(min(3, flat.size)):

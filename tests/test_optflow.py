@@ -8,8 +8,8 @@ from upflow import (AlignmentPenalty, DeformationField, FlowParams, GridDesc,
                     GridMismatch, NoSurface, ParticleSet, ScalarGrid,
                     SpaceTimeSDF, alignment_penalty, apply_deformation,
                     build_system, complex_cells, feature_points,
-                    flow_interpolate, solution_fields, solve_flow)
-from upflow.optflow import _laplacian
+                    solution_fields, solve_flow, stack_flow)
+from upflow.optflow import _laplacian, displace_particles
 
 
 def sphere_sdf(desc, center, radius):
@@ -594,40 +594,30 @@ def _blob_particles(center, n, rng):
     return ParticleSet(pts, np.zeros_like(pts))
 
 
-def test_flow_interpolate_alpha_zero_unchanged():
+def test_displace_particles_alpha_zero_or_empty_is_exact_copy():
     desc = GridDesc((0, 0, 0), 0.05, (16, 16, 16))
-    rng = np.random.default_rng(8)
-    x = _blob_particles(np.array([0.4, 0.4, 0.4]), 60, rng)
-    src = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
-    dst = SpaceTimeSDF([sphere_sdf(desc, (0.45, 0.4, 0.4), 0.15)])
-    out, _ = flow_interpolate(x, src, dst, 0.0, FlowParams(beta_s=1.0))
-    assert np.array_equal(out.positions, x.positions)
+    x = _blob_particles(np.array([0.4, 0.4, 0.4]), 60, np.random.default_rng(8))
+    field = DeformationField(desc, np.full(desc.dims + (3,), 0.1))
+    for src, alpha in ((x, 0.0), (ParticleSet.empty(), 1.0)):
+        out = displace_particles(src, field, alpha)
+        assert not np.shares_memory(out.positions, src.positions)
+        assert np.array_equal(out.positions, src.positions)
+        assert np.array_equal(out.velocities, src.velocities)
 
 
-@pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
-def test_flow_interpolate_rejects_weights_outside_unit_interval(monkeypatch, alpha):
-    desc = GridDesc((0, 0, 0), 0.05, (16, 16, 16))
-    x = _blob_particles(np.array([0.4, 0.4, 0.4]), 10, np.random.default_rng(8))
-    st = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("solved before checking the weight")
-    monkeypatch.setattr("upflow.optflow.stack_flow", refuse)
-    with pytest.raises(ValueError, match=rf"\[0, 1\], got {alpha}"):
-        flow_interpolate(x, st, st, alpha, FlowParams())
-
-
-def test_flow_interpolate_identical_surfaces_unchanged():
+def test_stack_flow_identical_surfaces_leave_particles_unchanged():
     desc = GridDesc((0, 0, 0), 0.05, (16, 16, 16))
     rng = np.random.default_rng(9)
     x = _blob_particles(np.array([0.4, 0.4, 0.4]), 60, rng)
     st = SpaceTimeSDF([sphere_sdf(desc, (0.4, 0.4, 0.4), 0.15)])
-    out, field = flow_interpolate(x, st, st, 1.0, FlowParams(beta_s=1.0))
+    fields, info = stack_flow(st, st, FlowParams(beta_s=1.0))
+    assert info.converged
+    out = displace_particles(x, fields[0], 1.0)
     assert np.array_equal(out.positions, x.positions)
-    assert np.all(field.vectors == 0.0)
+    assert np.all(fields[0].vectors == 0.0)
 
 
-def test_flow_interpolate_translated_blob_centroid():
+def test_stack_flow_moves_a_translated_blob_centroid():
     desc = GridDesc((0, 0, 0), 1.0 / 32, (32, 32, 32))
     h = desc.cell_size
     t = np.array([4 * h, 0, 0])
@@ -638,7 +628,8 @@ def test_flow_interpolate_translated_blob_centroid():
     pts = c0 + 0.15 * rng.uniform(-1, 1, size=(200, 3))
     keep = np.linalg.norm(pts - c0, axis=1) < 0.17
     x = ParticleSet(pts[keep], np.zeros((keep.sum(), 3)))
-    params = FlowParams(beta_s=20.0, beta_t=1e-4)
-    out, _ = flow_interpolate(x, src, dst, 1.0, params)
+    fields, info = stack_flow(src, dst, FlowParams(beta_s=20.0, beta_t=1e-4))
+    assert info.converged
+    out = displace_particles(x, fields[0], 1.0)
     moved = out.positions.mean(axis=0) - x.positions.mean(axis=0)
     assert np.linalg.norm(moved - t) <= 0.1 * np.linalg.norm(t)

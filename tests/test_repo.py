@@ -5,6 +5,7 @@ import glob
 import importlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 
@@ -33,6 +34,21 @@ def test_no_tracked_file_is_ignored():
 
 def test_public_names_resolve():
     missing = [name for name in upflow.__all__ if not hasattr(upflow, name)]
+    assert missing == []
+
+
+def test_readme_library_tour_names_resolve():
+    # a deleted export must not leave the README's tour calling it
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    tour = text.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\buf\.(\w+)", tour))
+    assert names
+    missing = sorted(f"uf.{n}" for n in names if not hasattr(upflow, n))
+    for module, imported in re.findall(r"^from (upflow[\w.]*) import (.+)$", tour, re.M):
+        owner = importlib.import_module(module)
+        missing += [f"{module}.{n.strip()}" for n in imported.split(",")
+                    if not hasattr(owner, n.strip())]
     assert missing == []
 
 
