@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, check_positive
 from .flip import resample_narrow_band
 from .grids import (FACE_OFFSETS, DeformationField, GridDesc, MACGrid, ScalarGrid,
                     extrapolate_mac, sample_trilinear)
@@ -146,6 +146,7 @@ def infer_frame(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
     input velocity is the identity on the upsampled positions and a zero
     network with nonzero input velocity reduces to passive transport.
     """
+    check_positive("dt", dt)
     fields, upsampled, phi = inference_fields(x, u_mac, model, cfg, dt, cfg.passes)
     avg = average_fields(fields)
     # displacements act as velocities over one frame when added to u_ext
@@ -182,6 +183,8 @@ def pass_noise_curve(x: ParticleSet, u_mac: MACGrid, model: DisplacementNet,
         fully averaged (max_passes) field;
       - ``avg_norm``: RMS magnitude of the k-pass averaged field.
     """
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes}")
     fields, _, _ = inference_fields(x, u_mac, model, cfg, dt, max_passes)
     stack = np.stack([f.vectors for f in fields])
     converged = stack.mean(axis=0)

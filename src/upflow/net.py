@@ -211,7 +211,7 @@ def ball_gather(points: np.ndarray, queries: np.ndarray, radius: float,
 
     Each row's valid slots form a prefix: slot j is valid exactly when the
     row has more than j neighbors, and the unused slots hold index 0. The
-    layers rely on this to gather only the columns up to the widest
+    geometry relies on this to compute only the columns up to the widest
     occupied one.
     """
     n = len(points)
@@ -337,68 +337,64 @@ def _layers(params: dict, prefix: str):
     return out
 
 
-def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
-                 stat_order: np.ndarray | None, record: bool = True):
-    """Shared nonlinear map h on plain arrays: (Linear -> BatchNorm -> ReLU)
+def _mlp_forward(x: np.ndarray, layers, stat_order: np.ndarray | None,
+                 record: bool = True, pad: tuple | None = None):
+    """Shared nonlinear map h on the rows of x: (Linear -> BatchNorm -> ReLU)
     per layer. The Linear has no bias, as the batch norm's mean subtraction
     would cancel it.
 
-    Batch-norm statistics come from the current input set: its valid slots
-    (3D input) or its rows in the canonical `stat_order` (2D input), so they
-    never depend on input permutation. The "batch" is the processed particle
-    cloud itself, at inference too: running averages taken across training
-    clouds diverged from the per-cloud normalization the network learns.
+    Batch-norm statistics are column sums over the rows, taken in the
+    canonical `stat_order` (None: the rows' own order), so they never depend
+    on input permutation. The "batch" is the processed particle cloud
+    itself, at inference too: running averages taken across training clouds
+    diverged from the per-cloud normalization the network learns.
 
-    With `record`, keeps for `_mlp_backward` only the rows that reach the
-    output (the valid slots of a 3D input, every row of a 2D one): each
-    layer's input, centred values and ReLU mask there, and the per-channel
-    std; without it, keeps nothing and returns `saved` as None.
+    Rows may be the valid slots of a zero-padded layout: `pad` = (positions,
+    size) says where they sit among its `size` rows. Two or more channels
+    give the padded layout's bits from the rows alone: the product is row
+    by row, and the column sums add row after row, so the padding's zeros
+    change no bit. A layer of one channel does not: BLAS takes a
+    matrix-vector path whose rounding depends on a row's position, and
+    numpy sums a single column pairwise. Such a layer runs its product and
+    sums in the padded layout.
+
+    With `record`, keeps for `_mlp_backward` each layer's input, centred
+    values and ReLU mask and the per-channel std; without it, keeps nothing
+    and returns `saved` as None.
 
     The ReLU is pre * (pre > 0) + 0.0, where the + 0.0 turns -0.0 into 0.0:
     on finite inputs these are the bits of np.where(pre > 0, pre, 0.0).
     Inputs must be finite (`ParticleSet` admits no other positions or
     velocities, and `train` stops at a non-finite loss); an inf or NaN
     pre-activation would give NaN where np.where gives 0.0."""
-    if valid is None:
-        def keep(a):
-            return a
-    else:
-        mask = valid[:, :, None].astype(np.float64)
-        count = float(valid.sum())
-        kept = np.flatnonzero(valid)
+    inv_count = 1.0 / max(len(x), 1)
 
-        def keep(a):
-            return a.reshape(-1, a.shape[-1])[kept]
+    def padded(a):
+        out = np.zeros((pad[1], a.shape[1]))
+        out[pad[0]] = a
+        return out
+
+    def column_mean(a, one):
+        if stat_order is not None:
+            a = a[stat_order]
+        elif one:
+            a = padded(a)
+        return a.sum(axis=0) * inv_count
+
     saved = [] if record else None
     for w, gamma, beta in layers:
-        if x.ndim == 3:
-            n, k, c = x.shape
-            h = (x.reshape(n * k, c) @ w.value).reshape(n, k, w.value.shape[1])
-        else:
-            h = x @ w.value
-        if valid is None:
-            hs = h[stat_order]
-            mean = hs.sum(axis=0) * (1.0 / len(hs))
-            hs -= mean
-            var = (hs * hs).sum(axis=0) * (1.0 / len(hs))
-            cen = h - mean
-        elif count == 0.0:
-            # no populated neighborhood: normalize trivially
-            cen, var = h, np.ones(h.shape[-1])
-        else:
-            sq = h * mask
-            mean = sq.sum(axis=(0, 1)) * (1.0 / count)
-            cen = h - mean
-            np.multiply(cen, cen, out=sq)
-            sq *= mask
-            var = sq.sum(axis=(0, 1)) * (1.0 / count)
+        one = pad is not None and w.value.shape[1] == 1
+        h = (padded(x) @ w.value)[pad[0]] if one else x @ w.value
+        mean = column_mean(h, one)
+        cen = h - mean
+        var = column_mean(cen * cen, one)
         std = np.sqrt(var + _BN_EPS)
         pre = cen / std
         pre *= gamma.value
         pre += beta.value
         relu = pre > 0.0
         if record:
-            saved.append((keep(x), keep(cen), keep(relu), std))
+            saved.append((x, cen, relu, std))
         np.multiply(pre, relu, out=pre)
         pre += 0.0
         x = pre
@@ -407,9 +403,8 @@ def _mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
 
 def _mlp_backward(dy: np.ndarray, layers, saved):
     """Backward of `_mlp_forward` from the gradient `dy` (rows, C) of its
-    kept output rows: the gradient of its kept input rows and, per layer,
-    those of (W, gamma, beta). Batch statistics are over the kept rows,
-    which are the only rows a 3D forward's statistics and max read."""
+    output: the gradient of its input rows and, per layer, those of
+    (W, gamma, beta). Batch statistics are over all the rows."""
     grads = []
     for (w, gamma, _), (x, cen, relu, std) in reversed(list(zip(layers, saved))):
         dpre = dy * relu
@@ -429,8 +424,8 @@ def _mlp_backward(dy: np.ndarray, layers, saved):
 
 
 def _gather_width(mask: np.ndarray, channels: int) -> int:
-    """How many leading slot columns of `mask` (n, K) a layer gathers (and
-    its geometry computes distances and kernel weights over): up to
+    """How many leading slot columns of `mask` (n, K) `_up` gathers (and
+    the geometry computes distances and kernel weights over): up to
     the last column holding a True anywhere (at least 1), since the ones
     after it are padding. A sum over the slots of an (n, k, channels)
     array adds slot after slot, so trailing zero slots change no bit,
@@ -447,48 +442,48 @@ def _set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
     tape node. Each part is (source tensor, idx, row scale or None) and
     contributes source[idx] (times scale per row).
 
-    Only the slots up to the widest occupied column are gathered (see
-    `_gather_width`): rows fill their valid slots as a prefix
-    (`ball_gather`), so the columns after it are padding, and the batch
-    statistics, the max and the backward read valid slots alone."""
+    The layer reads the valid slots alone, as compact rows in row-major
+    (row, slot) order: the MLP and its batch statistics (a width-1 layer
+    keeps the padded layout, see `_mlp_forward`), the max over each row's
+    segment and the backward. A row with no valid slot gives the zero
+    feature."""
     layers = _layers(params, prefix)
     parents = [src for src, _, _ in parts] + [t for layer in layers for t in layer]
     record = any(t.requires_grad for t in parents)
-    k = _gather_width(group.valid, min(w.value.shape[1] for w, _, _ in layers))
-    valid = group.valid[:, :k]
-    parts = [(src, idx[:, :k], scale) for src, idx, scale in parts]
+    flat = np.flatnonzero(group.valid)
+    rows = flat // group.valid.shape[1]
+    parts = [(src, idx.ravel()[flat], scale) for src, idx, scale in parts]
     cols = []
     for src, idx, scale in parts:
         v = src.value[idx]
-        cols.append(v if scale is None else v * scale[:, None, None])
-    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets[:, :k]], axis=-1),
-                              layers, valid, None, record)
-    c = out.shape[2]
-    neg = np.where(valid[:, :, None], out, -np.inf)
-    any_valid = valid.any(axis=1)
-    value = np.where(any_valid[:, None], neg.max(axis=1), 0.0)
+        cols.append(v if scale is None else v * scale[rows, None])
+    cols.append(group.offsets.reshape(-1, 3)[flat])
+    out, saved = _mlp_forward(np.concatenate(cols, axis=1), layers, None, record,
+                              (flat, group.valid.size))
+    count = group.valid.sum(axis=1)
+    full = np.flatnonzero(count)
+    starts = (np.cumsum(count) - count)[full]         # each non-empty row's first slot
+    value = np.zeros((len(count), out.shape[1]))
+    value[full] = np.maximum.reduceat(out, starts, axis=0)
     if not record:
         return Tensor(value)
-    arg = np.argmax(neg, axis=1)                      # (n, C); first max wins
-    # position of every valid slot among the kept rows; the max reads one
-    # slot per (row, channel), so its gradient is a plain assignment
-    slot = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
-    hit_rows, hit_chans = np.nonzero(np.broadcast_to(any_valid[:, None], arg.shape))
-    hit_slots = slot[hit_rows, arg[hit_rows, hit_chans]]
-    valid_rows = np.nonzero(valid)[0]
+    # the first max of each (row, channel): the max reads one slot there,
+    # so its gradient is a plain assignment
+    first = np.where(out == value[rows], np.arange(len(out))[:, None], len(out))
+    hit_slots = np.minimum.reduceat(first, starts, axis=0)
+    chans = np.arange(out.shape[1])
 
     def backward(g):
-        dy = np.zeros((len(valid_rows), c))
-        dy[hit_slots, hit_chans] = g[hit_rows, hit_chans]
+        dy = np.zeros((len(rows), len(chans)))
+        dy[hit_slots, chans] = g[full]
         dx, grads = _mlp_backward(dy, layers, saved)
-        out, a = [], 0
+        grad, a = [], 0
         for src, idx, scale in parts:
             b = a + src.value.shape[1]
-            d = dx[:, a:b] if scale is None else dx[:, a:b] * scale[valid_rows, None]
-            out.append(_scatter_rows(idx[valid], d, len(src.value))
-                       if src.requires_grad else None)
+            d = dx[:, a:b] if scale is None else dx[:, a:b] * scale[rows, None]
+            grad.append(_scatter_rows(idx, d, len(src.value)) if src.requires_grad else None)
             a = b
-        return out + grads
+        return grad + grads
     return custom(value, parents, backward)
 
 
@@ -521,7 +516,7 @@ def _up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) -> Tenso
     cc = coarse.value.shape[1]
     inp = np.concatenate([np.einsum("ik,ikc->ic", weights, coarse.value[idx]),
                           skip.value], axis=-1)
-    value, saved = _mlp_forward(inp, layers, None, order, record)
+    value, saved = _mlp_forward(inp, layers, order, record)
     if not record:
         return Tensor(value)
     hit_rows = np.nonzero(hit)[0]

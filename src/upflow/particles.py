@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import check_positive
 from .grids import MACGrid, advect_positions, sample_trilinear
 
 
@@ -86,8 +87,7 @@ def nearest_points(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def advect_particles(p: ParticleSet, vel: MACGrid, dt: float) -> ParticleSet:
     """Advance particles by RK2 through the grid; velocities re-sampled at the
     new positions. Count is preserved."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     new_pos = advect_positions(p.positions, vel, dt)
     new_vel = sample_trilinear(vel, new_pos) if p.count else p.velocities.copy()
     return ParticleSet(new_pos, np.atleast_2d(new_vel))

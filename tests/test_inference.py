@@ -4,6 +4,7 @@ import pytest
 from upflow import (DeformationField, GridDesc, GridMismatch, InferenceConfig,
                     MACGrid, ParticleSet, infer_frame, resample_narrow_band,
                     resample_of_to_mac, sdf_from_particles, transfer_to_grid)
+from upflow import inference as uinf
 from upflow.inference import average_fields, pass_noise_curve
 from upflow.net import DisplacementNet, NetworkConfig, LevelConfig
 
@@ -199,3 +200,23 @@ def test_noise_curve_shapes(desc):
     assert len(curve["deviation"]) == 8
     assert len(curve["avg_norm"]) == 8
     assert curve["deviation"][-1] == 0.0
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_infer_frame_rejects_a_bad_dt_before_any_work(desc, dt, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("inference_fields ran")
+    monkeypatch.setattr(uinf, "inference_fields", no_work)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        infer_frame(blob((0.5, 0.5, 0.5), 100, 1), MACGrid.constant(desc, (0.2, 0, 0)),
+                    tiny_model(zero=True), InferenceConfig(passes=2), dt)
+
+
+@pytest.mark.parametrize("max_passes", [0, -1])
+def test_noise_curve_rejects_fewer_than_one_pass(desc, max_passes, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("inference_fields ran")
+    monkeypatch.setattr(uinf, "inference_fields", no_work)
+    with pytest.raises(ValueError, match=f"max_passes must be >= 1, got {max_passes}"):
+        pass_noise_curve(blob((0.5, 0.5, 0.5), 100, 1), MACGrid.constant(desc, (0.2, 0, 0)),
+                         tiny_model(), InferenceConfig(passes=2), 0.05, max_passes)

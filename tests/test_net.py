@@ -13,7 +13,7 @@ from upflow.autodiff import Tensor, _unbroadcast, as_tensor, custom, parameter
 from upflow import net as unet
 from upflow.net import (_BN_EPS, _LR_DECAY, AdamState, DisplacementNet, FeatureSet,
                         Grouping, LevelConfig, NetworkConfig, _init_mlp, _layers,
-                        _mlp_backward, _mlp_forward, _scatter_rows, _set_conv, _up,
+                        _mlp_backward, _scatter_rows, _set_conv, _up,
                         ball_gather, downsample_conv, farthest_point_indices,
                         flow_embedding, lexical_order, loss_gradients,
                         nearest_indices, neighborhood_assignment, sample_loss,
@@ -1296,6 +1296,79 @@ def test_loss_tape_stays_small():
 
 
 # -- occupied-slot layers against the padded ones ------------------------------------
+#
+# The references below are the padded layers, self-contained: their MLP is
+# the padded (n, K, C) forward with masked batch statistics that the
+# compact-row layers replaced, so a change to the library's MLP cannot
+# change the reference along with it.
+
+def padded_mlp_forward(x: np.ndarray, layers, valid: np.ndarray | None,
+                       stat_order: np.ndarray | None, record: bool = True):
+    """Shared nonlinear map h on plain arrays: (Linear -> BatchNorm -> ReLU)
+    per layer. The Linear has no bias, as the batch norm's mean subtraction
+    would cancel it.
+
+    Batch-norm statistics come from the current input set: its valid slots
+    (3D input) or its rows in the canonical `stat_order` (2D input), so they
+    never depend on input permutation. The "batch" is the processed particle
+    cloud itself, at inference too: running averages taken across training
+    clouds diverged from the per-cloud normalization the network learns.
+
+    With `record`, keeps for `_mlp_backward` only the rows that reach the
+    output (the valid slots of a 3D input, every row of a 2D one): each
+    layer's input, centred values and ReLU mask there, and the per-channel
+    std; without it, keeps nothing and returns `saved` as None.
+
+    The ReLU is pre * (pre > 0) + 0.0, where the + 0.0 turns -0.0 into 0.0:
+    on finite inputs these are the bits of np.where(pre > 0, pre, 0.0).
+    Inputs must be finite (`ParticleSet` admits no other positions or
+    velocities, and `train` stops at a non-finite loss); an inf or NaN
+    pre-activation would give NaN where np.where gives 0.0."""
+    if valid is None:
+        def keep(a):
+            return a
+    else:
+        mask = valid[:, :, None].astype(np.float64)
+        count = float(valid.sum())
+        kept = np.flatnonzero(valid)
+
+        def keep(a):
+            return a.reshape(-1, a.shape[-1])[kept]
+    saved = [] if record else None
+    for w, gamma, beta in layers:
+        if x.ndim == 3:
+            n, k, c = x.shape
+            h = (x.reshape(n * k, c) @ w.value).reshape(n, k, w.value.shape[1])
+        else:
+            h = x @ w.value
+        if valid is None:
+            hs = h[stat_order]
+            mean = hs.sum(axis=0) * (1.0 / len(hs))
+            hs -= mean
+            var = (hs * hs).sum(axis=0) * (1.0 / len(hs))
+            cen = h - mean
+        elif count == 0.0:
+            # no populated neighborhood: normalize trivially
+            cen, var = h, np.ones(h.shape[-1])
+        else:
+            sq = h * mask
+            mean = sq.sum(axis=(0, 1)) * (1.0 / count)
+            cen = h - mean
+            np.multiply(cen, cen, out=sq)
+            sq *= mask
+            var = sq.sum(axis=(0, 1)) * (1.0 / count)
+        std = np.sqrt(var + _BN_EPS)
+        pre = cen / std
+        pre *= gamma.value
+        pre += beta.value
+        relu = pre > 0.0
+        if record:
+            saved.append((keep(x), keep(cen), keep(relu), std))
+        np.multiply(pre, relu, out=pre)
+        pre += 0.0
+        x = pre
+    return x, saved
+
 
 def padded_set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor:
     """Masked max over each row's neighbors of h(parts..., offset), as one
@@ -1309,8 +1382,8 @@ def padded_set_conv(parts, group: Grouping, params: dict, prefix: str) -> Tensor
     for src, idx, scale in parts:
         v = src.value[idx]
         cols.append(v if scale is None else v * scale[:, None, None])
-    out, saved = _mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
-                              layers, valid, None, record)
+    out, saved = padded_mlp_forward(np.concatenate(cols + [group.offsets], axis=-1),
+                                    layers, valid, None, record)
     c = out.shape[2]
     neg = np.where(valid[:, :, None], out, -np.inf)
     any_valid = valid.any(axis=1)
@@ -1350,7 +1423,7 @@ def padded_up(blend, coarse: Tensor, skip: Tensor, params: dict, prefix: str) ->
     cc = coarse.value.shape[1]
     inp = np.concatenate([np.einsum("ik,ikc->ic", weights, coarse.value[idx]),
                           skip.value], axis=-1)
-    value, saved = _mlp_forward(inp, layers, None, order, record)
+    value, saved = padded_mlp_forward(inp, layers, None, order, record)
     if not record:
         return Tensor(value)
     hit = weights != 0.0
@@ -1393,19 +1466,23 @@ def _packed_cloud(rng, k):
 
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("layout", ["down", "embed", "random-mask"])
-@pytest.mark.parametrize("widths", [(6, 5), (4, 1)])
+@pytest.mark.parametrize("layout", ["down", "embed", "random-mask", "empty"])
+@pytest.mark.parametrize("widths", [(6, 5), (4, 1), (1, 3)])
 def test_set_conv_on_occupied_slots_equals_the_padded_layer(widths, layout, seed, record):
-    # a one-channel layer's batch-norm sums are pairwise over every slot,
-    # padding included: the layer must not drop the padding then
+    # a one-channel layer's product rounds by each row's position (BLAS's
+    # matrix-vector path) and its batch-norm sums are pairwise over every
+    # slot, padding included: the layer must run in the padded layout then.
+    # (1, 3) on "embed" (9 input channels) fails when only the sums do
     rng = np.random.default_rng(seed)
     k = 8 if seed % 2 else 32
     points, queries = _packed_cloud(rng, k)
-    if layout == "random-mask":
-        # any mask, not only ball_gather's prefixes; some columns stay empty
+    if layout in ("random-mask", "empty"):
+        # any mask, not only ball_gather's prefixes; some columns stay empty,
+        # and "empty" has no valid slot at all
         valid = rng.uniform(size=(len(queries), k)) < 0.3
         valid[:, k // 2:] = False
         valid[-2:] = False
+        valid &= layout != "empty"
         idx = rng.integers(0, len(points), size=valid.shape)
     else:
         idx, valid = ball_gather(points, queries, 0.15, k)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from upflow.particles import nearest_points, radius_pairs
+from upflow.grids import GridDesc, MACGrid
+from upflow.particles import ParticleSet, advect_particles, nearest_points, radius_pairs
 
 
 def _brute_pairs(points, queries, radius):
@@ -76,3 +77,11 @@ def test_nearest_points_settles_many_way_ties():
             points = points[np.random.default_rng(seed).permutation(len(points))]
             d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
             assert np.array_equal(nearest_points(points, queries), np.argmin(d2, axis=1))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_advect_particles_rejects_a_non_positive_or_non_finite_dt(dt):
+    vel = MACGrid.constant(GridDesc((0.0, 0.0, 0.0), 0.1, (4, 4, 4)), (0.1, 0.0, 0.0))
+    p = ParticleSet(np.full((2, 3), 0.2), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        advect_particles(p, vel, dt)

@@ -75,30 +75,36 @@ def test_benchmark_tracer_targets_exist():
     assert missing == []
 
 
+def _library_sources():
+    """(file name, text) of every module of the library, in name order."""
+    src = os.path.dirname(os.path.abspath(upflow.__file__))
+    sources = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as f:
+            sources.append((os.path.basename(path), f.read()))
+    return sources
+
+
 def test_only_particles_builds_a_kd_tree():
     # one neighbour search: every other module goes through particles.py
-    src = os.path.dirname(os.path.abspath(upflow.__file__))
-    users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
-                   if "cKDTree" in open(p).read())
+    users = [name for name, text in _library_sources() if "cKDTree" in text]
     assert users == ["particles.py"]
 
 
 def test_only_grids_spells_a_face_shape():
     # one MAC layout: every other module asks grids.face_shape
-    src = os.path.dirname(os.path.abspath(upflow.__file__))
-    users = sorted(os.path.basename(p) for p in glob.glob(os.path.join(src, "*.py"))
-                   if any(s in open(p).read() for s in ("nx + 1", "ny + 1", "nz + 1")))
+    users = [name for name, text in _library_sources()
+             if any(s in text for s in ("nx + 1", "ny + 1", "nz + 1"))]
     assert [u for u in users if u != "grids.py"] == []
 
 
 def test_no_unbuffered_scatter():
     # np.add.at adds one element at a time; every scatter in the library
     # sums through np.bincount, which keeps its order at a fraction of the cost
-    src = os.path.dirname(os.path.abspath(upflow.__file__))
     users = []
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        for node in ast.walk(ast.parse(open(path).read())):
+    for name, text in _library_sources():
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Attribute) and node.attr == "at" \
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "add":
-                users.append(f"{os.path.basename(path)}:{node.lineno}")
+                users.append(f"{name}:{node.lineno}")
     assert users == []
